@@ -44,8 +44,6 @@ struct Workload {
   std::uint32_t n;
   int reps;
   bool packed = false;
-  bool streamed = false;
-  bool pipeline = false;
 };
 
 struct Sample {
@@ -67,8 +65,6 @@ Sample run_workload(omx::harness::Sweep& sweep, const Workload& w,
     cfg.seed = 1;
     cfg.threads = threads;
     cfg.packed = w.packed;
-    cfg.streamed = w.streamed;
-    cfg.pipeline = w.pipeline;
     cfg.trace_path = trace_path;
     omx::sim::EngineStats stats;
     cfg.engine_stats = &stats;
@@ -78,10 +74,9 @@ Sample run_workload(omx::harness::Sweep& sweep, const Workload& w,
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     std::printf("  %-36s x%u rep %d: %9.1f ms  (compute %6.0f | adversary "
-                "%6.0f | delivery %6.0f | fused %6.0f)\n",
+                "%6.0f | delivery %6.0f)\n",
                 w.name, threads, rep, ms, stats.compute_ns / 1e6,
-                stats.adversary_ns / 1e6, stats.delivery_ns / 1e6,
-                stats.fused_ns / 1e6);
+                stats.adversary_ns / 1e6, stats.delivery_ns / 1e6);
     std::fflush(stdout);
     if (ms < best.wall_ms) {
       best.wall_ms = ms;
@@ -224,12 +219,8 @@ int run_bench(int argc, char** argv) {
        omx::harness::Attack::None, 1024, 3, /*packed=*/true},
       {"floodset/rand-omit/1024/packed", omx::harness::Algo::FloodSet,
        omx::harness::Attack::RandomOmission, 1024, 3, /*packed=*/true},
-      {"floodset/none/1024/packed-streamed", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::None, 1024, 3, /*packed=*/true,
-       /*streamed=*/true},
-      {"floodset/none/4096/packed-streamed", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::None, 4096, 2, /*packed=*/true,
-       /*streamed=*/true},
+      {"floodset/none/4096/packed", omx::harness::Algo::FloodSet,
+       omx::harness::Attack::None, 4096, 2, /*packed=*/true},
       {"optimal/none/1024", omx::harness::Algo::Optimal,
        omx::harness::Attack::None, 1024, 2},
   };
@@ -271,8 +262,7 @@ int run_bench(int argc, char** argv) {
   first = true;
   const std::vector<std::pair<const char*, const char*>> speedup_pairs = {
       {"floodset/none/1024", "floodset/none/1024/packed"},
-      {"floodset/rand-omit/1024", "floodset/rand-omit/1024/packed"},
-      {"floodset/none/1024", "floodset/none/1024/packed-streamed"}};
+      {"floodset/rand-omit/1024", "floodset/rand-omit/1024/packed"}};
   for (const auto& pair : speedup_pairs) {
     const Sample& legacy = by_name[pair.first];
     const Sample& packed = by_name[pair.second];
@@ -293,23 +283,15 @@ int run_bench(int argc, char** argv) {
 
   // Thread-scaling sweep: every engine phase across the chosen lane counts.
   // stage/merge split the parallel compute phase (merge is the stitch +
-  // rack reduction + seal); fused_ms covers pipelined delivery+compute
-  // rounds; lane_busy_ms is the pool's per-lane busy time over the run, so
-  // shard imbalance is visible straight from the JSON. parallel_rounds
-  // counts rounds that actually took the sharded path (all of them, for
-  // unlimited rng budgets). The /pipeline rows rerun the flood workloads
-  // with round fusion on — identical metrics, different schedule.
+  // rack reduction + seal); lane_busy_ms is the pool's per-lane busy time
+  // over the run, so shard imbalance is visible straight from the JSON.
+  // parallel_rounds counts rounds that actually took the sharded path (all
+  // of them, for unlimited rng budgets).
   const std::vector<Workload> sweep = {
       {"floodset/none/256", omx::harness::Algo::FloodSet,
        omx::harness::Attack::None, 256, 3},
       {"floodset/none/1024", omx::harness::Algo::FloodSet,
        omx::harness::Attack::None, 1024, 2},
-      {"floodset/none/1024/pipeline", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::None, 1024, 2, /*packed=*/false,
-       /*streamed=*/false, /*pipeline=*/true},
-      {"floodset/rand-omit/1024/pipeline", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::RandomOmission, 1024, 2, /*packed=*/false,
-       /*streamed=*/false, /*pipeline=*/true},
       {"optimal/none/256", omx::harness::Algo::Optimal,
        omx::harness::Attack::None, 256, 3},
       {"optimal/none/1024", omx::harness::Algo::Optimal,
@@ -333,15 +315,13 @@ int run_bench(int argc, char** argv) {
           "%s    {\"name\": \"%s\", \"n\": %u, \"threads\": %u, "
           "\"wall_ms\": %.1f, \"compute_ms\": %.1f, \"stage_ms\": %.1f, "
           "\"merge_ms\": %.1f, \"adversary_ms\": %.1f, "
-          "\"delivery_ms\": %.1f, \"fused_ms\": %.1f, "
-          "\"parallel_rounds\": %llu, \"pipelined_rounds\": %llu, "
+          "\"delivery_ms\": %.1f, \"parallel_rounds\": %llu, "
           "\"rounds\": %llu, \"lane_busy_ms\": %s}",
           first ? "" : ",\n", w.name, w.n, threads, s.wall_ms,
           s.stats.compute_ns / 1e6, s.stats.stage_ns / 1e6,
           s.stats.merge_ns / 1e6, s.stats.adversary_ns / 1e6,
-          s.stats.delivery_ns / 1e6, s.stats.fused_ns / 1e6,
+          s.stats.delivery_ns / 1e6,
           static_cast<unsigned long long>(s.stats.parallel_rounds),
-          static_cast<unsigned long long>(s.stats.pipelined_rounds),
           static_cast<unsigned long long>(s.stats.rounds),
           lanes_json.c_str());
       json += buf;

@@ -5,20 +5,18 @@
 //   bench_scale [out.json] [--flood-n N] [--gossip-n N] [--flood-budget-s S]
 //
 // Two probes:
-//   * flood  — FloodSet with packed views + streamed delivery at
-//     n = 16384 (default). No inbox materialization: the O(n^2) pair work
-//     per round becomes word-wide ORs against double-buffered send logs.
+//   * flood  — FloodSet with packed views at n = 16384 (default).
+//     Receivers read the delivered wire in place: the O(n^2) pair work per
+//     round becomes word-wide ORs against double-buffered send logs.
 //     Budget: --flood-budget-s wall-clock seconds (default 10; the
 //     "single-digit seconds" acceptance bar with a little CI headroom).
 //     Exceeding the budget or deciding wrong is a hard failure.
 //   * gossip — DoublingGossip with run-length-coded knowledge at
 //     n = 10^6 (default 0 = skipped; CI and local runs opt in with
-//     --gossip-n because the full-size run takes minutes). Uses the
-//     MATERIALIZED delivery path on purpose: streamed delivery walks every
-//     send-group per receiver, which is O(n^2) per round for graph-
-//     restricted multicasts, while the counting-sort materializer is
-//     O(records) = O(n * window). The contact window is the cost lever
-//     (default 40).
+//     --gossip-n because the full-size run takes minutes). Its inquiries
+//     and replies are multicasts and unicasts, which delivery indexes per
+//     receiver, so a round costs O(records) = O(n * window). The contact
+//     window is the cost lever (default 40).
 //
 // Both probes print per-phase timings; the JSON mirrors BENCH_engine.json
 // (hardware_threads stamped for provenance).
@@ -89,10 +87,9 @@ int run_scale(int argc, char** argv) {
     cfg.seed = 1;
     cfg.threads = 1;
     cfg.packed = true;
-    cfg.streamed = true;
     omx::sim::EngineStats stats;
     cfg.engine_stats = &stats;
-    std::printf("flood: packed+streamed floodset n=%u t=%u (budget %.0fs)\n",
+    std::printf("flood: packed floodset n=%u t=%u (budget %.0fs)\n",
                 flood_n, cfg.t, flood_budget_s);
     std::fflush(stdout);
     omx::harness::Sweep sweep;
@@ -132,8 +129,8 @@ int run_scale(int argc, char** argv) {
 
   // --- gossip probe ------------------------------------------------------
   if (gossip_n > 0) {
-    std::printf("gossip: packed doubling-gossip n=%u window=%u "
-                "(materialized delivery)\n", gossip_n, gossip_window);
+    std::printf("gossip: packed doubling-gossip n=%u window=%u\n", gossip_n,
+                gossip_window);
     std::fflush(stdout);
     omx::baselines::DoublingConfig cfg;
     cfg.t = 0;

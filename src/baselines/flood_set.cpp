@@ -27,8 +27,8 @@ void FloodSetMachine::round(sim::ProcessId p, sim::RoundIo<core::Msg>& io) {
   if (s.terminated) return;
   if (!fallback_.inbox_is_noop(p, cur_round_)) {
     // Merge straight out of the wire walk — FloodSet never needs the
-    // sender id or a materialized inbox, and the extra collect-then-walk
-    // pass is measurable at large n.
+    // sender id, and an extra collect-then-walk pass is measurable at
+    // large n.
     fallback_.consume_stream(p, io);
   }
   core::IoOutbox out(io);

@@ -22,8 +22,7 @@ class FloodSetMachine final : public sim::Machine<core::Msg> {
  public:
   /// `packed` selects the word-packed fallback representation
   /// (core/packed_view.h) — bit-identical decisions/Metrics/traces, much
-  /// faster compute phase, and for_each_in-based consumption so the run
-  /// also works under streamed delivery.
+  /// faster compute phase.
   FloodSetMachine(std::uint32_t t, std::vector<std::uint8_t> inputs,
                   bool packed = false);
 

@@ -62,9 +62,9 @@ class FloodFallback {
   /// inboxes up to round t+1 carry only flood traffic (the DecisionMsg
   /// broadcast of round t+1 is first consumed in round t+2), and a full
   /// packed view learns nothing from a flood message. Callers may then
-  /// skip materializing and walking the inbox altogether — that walk is
-  /// the only O(n) per-process cost left in the fault-free steady state,
-  /// so skipping it makes full-information runs at n=16384 take seconds.
+  /// skip walking the inbox altogether — that walk is the only O(n)
+  /// per-process cost left in the fault-free steady state, so skipping it
+  /// makes full-information runs at n=16384 take seconds.
   bool inbox_is_noop(std::uint32_t m, std::uint32_t fr) const {
     return packed_ && fr <= t_ + 1 && state_[m].know.full();
   }
@@ -83,9 +83,9 @@ class FloodFallback {
   }
 
   /// Consume one received message for member m. Exposed separately so
-  /// streamed callers can merge straight out of the wire walk instead of
-  /// materializing an inbox and walking it a second time — at n=16384
-  /// that second pass is hundreds of millions of pointer hops per round.
+  /// callers can merge straight out of the wire walk instead of collecting
+  /// an inbox and walking it a second time — at n=16384 that second pass
+  /// is hundreds of millions of pointer hops per round.
   void consume_one(std::uint32_t m, const Msg& msg) {
     auto& s = state_[m];
     if (const auto* fm = std::get_if<FloodMsg>(&msg)) {

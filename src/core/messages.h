@@ -14,7 +14,6 @@
 
 #include "core/packed_view.h"
 #include "support/bits.h"
-#include "support/cow_vec.h"
 #include "support/run_set.h"
 
 namespace omx::core {
@@ -88,9 +87,7 @@ struct FloodPair {
   std::uint8_t value;
 };
 struct FloodMsg {
-  /// Copy-on-write: a flooded pair list is fanned out to n-1 receivers by
-  /// value, and a deep copy per receiver would be Θ(n²) bytes per round.
-  support::CowVec<FloodPair> pairs;
+  std::vector<FloodPair> pairs;
   std::uint64_t bit_size() const {
     std::uint64_t bits = 1;
     for (const auto& p : pairs) bits += field_bits(p.id) + 1;

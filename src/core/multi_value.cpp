@@ -57,9 +57,9 @@ void MultiValueMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
   if (pr < inner_len_) {
     auto& scratch = scratch_[io.lane()];
     scratch.clear();
-    for (const auto& msg : io.inbox()) {
-      scratch.push_back(In{msg.from, &msg.payload});
-    }
+    io.for_each_in([&](sim::ProcessId from, const Msg& payload) {
+      scratch.push_back(In{from, &payload});
+    });
     IoOutbox out(io);
     inner_->step(p, scratch, out, io.rng());
     return;
@@ -82,14 +82,15 @@ void MultiValueMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
   // Adopt round: mismatched candidates take any announcement consistent
   // with the decided prefix; then, after the last phase, decide.
   if (bit_of(s.candidate, phase) != bit_of(s.decided_prefix, phase)) {
-    for (const auto& msg : io.inbox()) {
-      const auto* vm = std::get_if<ValueMsg>(&msg.payload);
-      if (vm == nullptr) continue;
+    bool adopted = false;
+    io.for_each_in([&](sim::ProcessId, const Msg& payload) {
+      const auto* vm = std::get_if<ValueMsg>(&payload);
+      if (adopted || vm == nullptr) return;
       if ((vm->value & s.prefix_mask) == (s.decided_prefix & s.prefix_mask)) {
         s.candidate = vm->value;
-        break;
+        adopted = true;
       }
-    }
+    });
   }
   if (phase + 1 == cfg_.bits) {
     s.terminated = true;

@@ -533,9 +533,9 @@ void OptimalMachine::begin_round(std::uint32_t round) {
 void OptimalMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
   auto& scratch = scratch_in_[io.lane()];
   scratch.clear();
-  for (const auto& msg : io.inbox()) {
-    scratch.push_back(In{msg.from, &msg.payload});
-  }
+  io.for_each_in([&](sim::ProcessId from, const Msg& payload) {
+    scratch.push_back(In{from, &payload});
+  });
   IoOutbox out(io);
   core_.step(p, scratch, out, io.rng());
 }

@@ -22,8 +22,8 @@
 
 namespace omx::core {
 
-/// Immutable wire blob of a packed view: one allocation shared by every
-/// fan-out copy of a broadcast (the packed analogue of CowVec<FloodPair>).
+/// Immutable wire blob of a packed view: one shared allocation per
+/// broadcast, read in place by every receiver.
 struct PackedFlood {
   /// Views holding at most this many pairs are stored inline (no dense
   /// word vectors at all). The first flood round is the hot case: every

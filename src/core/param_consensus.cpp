@@ -278,9 +278,9 @@ void ParamMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
   auto& inbox_scratch = inner_inbox_[io.lane()];
   if (cur.kind == Kind::Fallback) {
     inbox_scratch.clear();
-    for (const auto& msg : io.inbox()) {
-      inbox_scratch.push_back(In{msg.from, &msg.payload});
-    }
+    io.for_each_in([&](sim::ProcessId from, const Msg& payload) {
+      inbox_scratch.push_back(In{from, &payload});
+    });
     IoOutbox out(io);
     fallback_.step(p, cur.fallback_round, inbox_scratch, out);
     if (fallback_.has_decision(p)) decide(p, fallback_.decision(p));
@@ -292,11 +292,11 @@ void ParamMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
     const std::uint32_t hi = std::min(n_, lo + group_width_);
     if (p < lo || p >= hi || !s.operative) return;  // idle (line 6 / 10)
     inbox_scratch.clear();
-    for (const auto& msg : io.inbox()) {
-      OMX_CHECK(msg.from >= lo && msg.from < hi,
+    io.for_each_in([&](sim::ProcessId from, const Msg& payload) {
+      OMX_CHECK(from >= lo && from < hi,
                 "non-member message during an inner run");
-      inbox_scratch.push_back(In{msg.from - lo, &msg.payload});
-    }
+      inbox_scratch.push_back(In{from - lo, &payload});
+    });
     IoOutbox out(io, inner_members_, &scratch_targets_[io.lane()]);
     inner_->step(p - lo, inbox_scratch, out, io.rng());
     return;
@@ -304,9 +304,9 @@ void ParamMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
 
   if (cur_round_ > 0) {
     inbox_scratch.clear();
-    for (const auto& msg : io.inbox()) {
-      inbox_scratch.push_back(In{msg.from, &msg.payload});
-    }
+    io.for_each_in([&](sim::ProcessId from, const Msg& payload) {
+      inbox_scratch.push_back(In{from, &payload});
+    });
     consume(p, phase_of(cur_round_ - 1), inbox_scratch);
   }
   if (!st_[p].terminated && cur.kind != Kind::Done) {

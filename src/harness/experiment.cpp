@@ -234,13 +234,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       cfg.algo == Algo::FloodSet || cfg.algo == Algo::BenOr;
   OMX_REQUIRE(!cfg.packed || flood_path,
               "packed views are implemented for floodset/benor only");
-  OMX_REQUIRE(!cfg.streamed || flood_path,
-              "streamed delivery needs a for_each_in() machine "
-              "(floodset/benor)");
-  OMX_REQUIRE(!cfg.pipeline || flood_path,
-              "round pipelining is implemented for floodset/benor only");
-  OMX_REQUIRE(!cfg.pipeline || !cfg.streamed,
-              "round pipelining requires materialized delivery");
   auto inputs = cfg.explicit_inputs.empty()
                     ? make_inputs(cfg.inputs, cfg.n, cfg.seed)
                     : cfg.explicit_inputs;
@@ -313,10 +306,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   opts.stats = cfg.engine_stats;
   opts.threads = cfg.threads;
   opts.trace = tracer.get();
-  if (cfg.streamed) {
-    opts.delivery = sim::Runner<Msg>::Options::Delivery::kStreamed;
-  }
-  opts.pipeline = cfg.pipeline;
   sim::Runner<Msg> runner(cfg.n, cfg.t, &ledger, adversary.get(), opts);
 
   // Wire termination to the non-faulty set (the spec's termination clause).

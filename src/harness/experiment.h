@@ -94,16 +94,6 @@ struct ExperimentConfig {
   /// sizes. Decisions, metrics and traces are bit-identical to the legacy
   /// representation — only the wall time changes.
   bool packed = false;
-  /// Streamed delivery (FloodSet / BenOr only): phase 3 never materializes
-  /// inboxes; machines iterate the sealed wire via RoundIo::for_each_in().
-  /// Metrics-identical to materialized delivery; incompatible with
-  /// trace_path (per-message events need materialized delivery).
-  bool streamed = false;
-  /// Round pipelining (FloodSet / BenOr only): fuse round k+1's computation
-  /// into round k's delivery scatter. Requires threads > 1 and materialized
-  /// delivery; silently inert when tracing. Decisions, metrics and traces
-  /// are bit-identical with the flag on or off — only wall time changes.
-  bool pipeline = false;
   /// When non-empty, write a binary event trace of the run to this path
   /// (trace/trace.h format; analyze with `omxtrace stats|dump|diff`). The
   /// stream is bit-identical across `threads` settings. Requires tracing to

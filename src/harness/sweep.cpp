@@ -287,8 +287,6 @@ std::string serialize_config(const ExperimentConfig& cfg) {
   os << "deadline_ms=" << cfg.deadline_ms << "\n";
   os << "threads=" << cfg.threads << "\n";
   if (cfg.packed) os << "packed=1\n";
-  if (cfg.streamed) os << "streamed=1\n";
-  if (cfg.pipeline) os << "pipeline=1\n";
   if (!cfg.trace_path.empty()) os << "trace_path=" << cfg.trace_path << "\n";
   if (cfg.trace_packed) os << "trace_packed=1\n";
   os << "params.delta_factor=" << format_double(cfg.params.delta_factor)
@@ -362,10 +360,9 @@ bool parse_config(const std::string& text, ExperimentConfig* out,
       cfg.threads = static_cast<unsigned>(to_u64(v));
     } else if (k == "packed") {
       cfg.packed = v == "1" || v == "true";
-    } else if (k == "streamed") {
-      cfg.streamed = v == "1" || v == "true";
-    } else if (k == "pipeline") {
-      cfg.pipeline = v == "1" || v == "true";
+    } else if (k == "streamed" || k == "pipeline") {
+      // Retired delivery knobs: every run now streams, so old .repro files
+      // and checkpoints that still carry these lines parse unchanged.
     } else if (k == "trace_path") {
       cfg.trace_path = v;
     } else if (k == "trace_packed") {
@@ -394,14 +391,12 @@ std::uint64_t config_hash(const ExperimentConfig& cfg) {
   // The worker-lane count cannot change a trial's outcome (the engine is
   // bit-identical at every setting), so it must not change the key either:
   // a sweep resumed with a different --threads still matches its records.
-  // Same for the trace sink (observation, not behaviour) and for round
-  // pipelining (a scheduling choice with bit-identical results).
+  // Same for the trace sink (observation, not behaviour).
   ExperimentConfig canon = cfg;
   canon.threads = 1;
   canon.engine_stats = nullptr;
   canon.trace_path.clear();
   canon.trace_packed = false;  // storage format, not behaviour
-  canon.pipeline = false;
   return fnv1a(serialize_config(canon));
 }
 

@@ -67,8 +67,8 @@ class FaultState {
 
 /// Read-only iterable view over the plane's logical messages. Elements are
 /// lightweight proxies carrying (from, to, payload&) — range-for loops over
-/// ctx.messages() read exactly what the old materialized vector showed,
-/// without the engine building per-recipient Message objects.
+/// ctx.messages() see one element per logical message, without the engine
+/// building per-recipient message objects.
 template <class P>
 class MessageView {
  public:

@@ -30,20 +30,16 @@ namespace omx::sim {
 template <class P>
 class RoundIo {
  public:
-  /// `stream` is non-null only under streamed delivery (Runner
-  /// Options::delivery): the inbox span is then empty and messages are
-  /// iterated straight off the sealed wire via for_each_in().
-  RoundIo(std::uint32_t round, ProcessId self,
-          std::span<const Message<P>> inbox, SendLog<P>* log,
-          rng::Source* rng, unsigned lane = 0,
-          const MessagePlane<P>* stream = nullptr)
+  /// `plane` holds the wire delivered at the end of the previous round;
+  /// for_each_in() walks this process's share of it.
+  RoundIo(std::uint32_t round, ProcessId self, const MessagePlane<P>* plane,
+          SendLog<P>* log, rng::Source* rng, unsigned lane = 0)
       : round_(round),
         self_(self),
-        inbox_(inbox),
+        plane_(plane),
         log_(log),
         rng_(rng),
-        lane_(lane),
-        stream_(stream) {}
+        lane_(lane) {}
 
   std::uint32_t round() const { return round_; }
   ProcessId self() const { return self_; }
@@ -53,28 +49,13 @@ class RoundIo {
   /// scratch so concurrently stepped processes never share mutable state.
   unsigned lane() const { return lane_; }
 
-  /// Messages delivered to this process at the end of the previous round.
-  /// Unavailable under streamed delivery — machines that support streamed
-  /// runs must consume via for_each_in() instead.
-  std::span<const Message<P>> inbox() const {
-    OMX_CHECK(stream_ == nullptr,
-              "inbox() called under streamed delivery — this machine must "
-              "consume messages via for_each_in(), or the run must use "
-              "materialized delivery");
-    return inbox_;
-  }
-
   /// Visit every message delivered to this process at the end of the
   /// previous round, in global send order: fn(ProcessId from, const P&).
-  /// Works identically under materialized and streamed delivery — the one
-  /// consumption API a machine needs to support both modes.
+  /// Payloads are read straight off the delivered wire — a reference stays
+  /// valid for the rest of this round.
   template <class Fn>
   void for_each_in(Fn&& fn) const {
-    if (stream_ != nullptr) {
-      stream_->stream_inbox(self_, std::forward<Fn>(fn));
-    } else {
-      for (const Message<P>& msg : inbox_) fn(msg.from, msg.payload);
-    }
+    plane_->stream_inbox(self_, std::forward<Fn>(fn));
   }
 
   /// Queue a message for the communication phase of this round.
@@ -107,11 +88,10 @@ class RoundIo {
  private:
   std::uint32_t round_;
   ProcessId self_;
-  std::span<const Message<P>> inbox_;
+  const MessagePlane<P>* plane_;
   SendLog<P>* log_;
   rng::Source* rng_;
   unsigned lane_;
-  const MessagePlane<P>* stream_;
 };
 
 /// A synchronous protocol over payload P, covering processes 0..n-1.

@@ -25,11 +25,4 @@ std::uint64_t bit_size(const P& p) {
   return p.bit_size();
 }
 
-template <class P>
-struct Message {
-  ProcessId from;
-  ProcessId to;
-  P payload;
-};
-
 }  // namespace omx::sim

@@ -27,37 +27,23 @@
 // byte-identical to a serial round while the old O(payloads + receivers)
 // merge copy is gone entirely.
 //
-// Two delivery modes:
-//   * deliver() — materialized (default): a stable counting sort of the
-//     surviving logical messages into one contiguous buffer plus a
-//     per-receiver offset table; every inbox is a
-//     std::span<const Message<P>>. Accounting is aggregate (sealed message
-//     count, cached wire bits, drop popcount — identical totals to a
-//     per-message walk); trace emission walks the groups in logical-index
-//     order, reproducing the legacy per-record stream bit-for-bit. Given a
-//     thread pool, the count/scatter passes shard by destination range:
-//     each lane counts and scatters only receivers in [n·w/L, n·(w+1)/L),
-//     so inboxes land in disjoint staging slices and the result is
-//     bit-identical to the serial sort at every lane count.
-//   * deliver_streamed() — nothing is materialized: accounting is done per
-//     group (fanout × cached payload bits) plus one popcount scan of the
-//     drop set, and the sealed wire is swapped into a front buffer that
-//     receivers iterate next round via stream_inbox() / RoundIo::
-//     for_each_in(). A receiver's cost is O(groups + its multicast
-//     entries), so an n-broadcast round costs O(n) per receiver *total* —
-//     no n² inbox buffer ever exists, which is what makes full-information
-//     protocols at n = 65536 fit in memory. A round whose wire is entirely
-//     kList multicasts (graph-restricted machines: every send walks a CSR
-//     adjacency list) skips the group walk and replays only the
-//     per-receiver multicast index — O(Δ) per receiver, not O(groups).
-//     The multicast index build itself shards by receiver range on the
-//     pool. Streamed delivery produces the same Metrics as materialized
-//     delivery; it does not support tracing or inbox() spans (the engine
-//     enforces both).
-//   * deliver_fused() — materialized delivery whose scatter pass also runs
-//     a caller-supplied per-lane compute continuation (the engine's round
-//     pipelining: round k+1's compute shard reads lane-local inboxes the
-//     same lane just scattered).
+// Delivery (deliver()) never copies a payload. It does the aggregate
+// accounting (sealed message count, cached wire bits, drop popcount —
+// identical totals to a per-message walk), emits trace events in
+// logical-index order when a trace sink is attached, and then indexes the
+// sealed wire for the next round's receivers:
+//   * unicast and kList messages go into a per-receiver index — a stable
+//     counting sort of (logical index, sender, payload pointer) entries,
+//     sharded by receiver range on the pool (lane w owns receivers
+//     [n·w/L, n·(w+1)/L), so the index is identical at every lane count);
+//   * broadcast groups go into a compact per-round list, since every
+//     receiver but (possibly) the sender hears them.
+// A receiver's walk (stream_inbox() / RoundIo::for_each_in()) merges its
+// own index entries with the broadcast list by logical index: O(its own
+// entries + broadcasts), so graph-restricted machines pay O(Δ) per
+// receiver and an n-broadcast round costs O(n) per receiver with no n²
+// inbox buffer ever built. The own log's contents are swapped into a front
+// buffer so payloads stay readable while the next round's sends accumulate.
 //
 // The adversary phase gets sharded helpers too: visit_index_range() walks
 // any slice of the logical index space without the locate() cursor, and
@@ -295,9 +281,9 @@ class MessagePlane {
   /// Sentinel for multicast: no process is skipped.
   static constexpr ProcessId kNobody = SendLog<P>::kNobody;
 
-  /// Below this many sealed messages the pool hand-off costs more than the
-  /// parallel passes save; delivery and adversary scans fall back to the
-  /// (bit-identical) serial walks.
+  /// Below this many messages (sealed ones for adversary scans, indexed
+  /// ones for delivery) the pool hand-off costs more than the parallel
+  /// passes save; both fall back to the (bit-identical) serial walks.
   static constexpr std::size_t kParallelGrain = 1024;
 
   /// An attackable message surfaced by a sharded adversary scan.
@@ -308,7 +294,7 @@ class MessagePlane {
   };
 
   explicit MessagePlane(std::uint32_t n)
-      : n_(n), log_(n), front_log_(n), inbox_offsets_(n + 1, 0) {
+      : n_(n), log_(n), front_log_(n), offsets_(n + 1, 0) {
     segs_.push_back(&log_);
   }
 
@@ -320,8 +306,8 @@ class MessagePlane {
   std::uint32_t num_processes() const { return n_; }
 
   /// Start a round's send phase. Clears the wire's own segment (capacity
-  /// persists) and detaches any stitched shard segments; the previous
-  /// round's delivered inboxes (or streamed front buffer) stay readable.
+  /// persists) and detaches any stitched shard segments; the messages the
+  /// previous round delivered stay readable until seal().
   /// The round number stamps failure messages and guards against
   /// wrong-round injection.
   void begin_round(std::uint32_t round = 0) {
@@ -358,9 +344,8 @@ class MessagePlane {
   /// order given — which must be ascending shard order: each shard steps
   /// its processes in ascending id order, so segment concatenation *is* id
   /// order and the logical message sequence matches a serial round exactly.
-  /// Nothing is copied; the shard logs must stay untouched until the
-  /// round's delivery completes (streamed mode: until the *next* round's
-  /// delivery swaps them out of the front buffer).
+  /// Nothing is copied; the shard logs must stay untouched until the next
+  /// round's computation phase has read what this round delivered.
   void stitch(std::span<SendLog<P>* const> shards) {
     for (SendLog<P>* s : shards) {
       OMX_CHECK(s->n_ == n_,
@@ -401,7 +386,6 @@ class MessagePlane {
   void seal() {
     wire_.clear();
     payload_bits_.clear();
-    non_list_groups_ = 0;
     std::uint64_t base = 0;
     std::uint32_t pbase = 0;
     for (const SendLog<P>* s : segs_) {
@@ -413,7 +397,6 @@ class MessagePlane {
                                   s->payloads_.data() + g.payload, recs,
                                   g.from, pbase + g.payload, g.a, g.b,
                                   g.kind});
-        if (g.kind != SendLog<P>::Kind::kList) ++non_list_groups_;
       }
       for (const P& p : s->payloads_) payload_bits_.push_back(bit_size(p));
       base += s->total_;
@@ -495,16 +478,18 @@ class MessagePlane {
 
   // --- delivery (communication phase) ---
 
-  /// Materialized delivery. Account every logical message (sent-but-omitted
-  /// still costs bits: the sender spent them), then counting-sort the
-  /// survivors into the inbox buffer. Stable: each inbox sees its messages
-  /// in global send order, exactly as the per-receiver push_back delivery
-  /// did. With a trace sink, emits one kSend per logical message (and a
-  /// kDrop after each omitted one) in wire order — the canonical order
-  /// segment stitching already guarantees, so traced streams are
-  /// bit-identical across thread counts. With a pool, the count and
-  /// scatter passes shard by destination range (bit-identical result;
-  /// traced runs stay serial).
+  /// Account every logical message (sent-but-omitted still costs bits: the
+  /// sender spent them) and, with a trace sink, emit one kSend per logical
+  /// message (and a kDrop after each omitted one) in wire order — the
+  /// canonical order segment stitching already guarantees, so traced
+  /// streams are bit-identical across thread counts. Then index the sealed
+  /// wire for stream_inbox(): per-receiver entries for unicast and kList
+  /// messages (counting sort in group order, sharded by receiver range
+  /// when a pool is given) plus the round's broadcast list, and swap the
+  /// own log into the front buffer. Payload and receiver pointers chase
+  /// heap buffers, so swapping the own log's *contents* (and leaving
+  /// stitched shard arenas in place — the engine double-banks them) keeps
+  /// every pointer valid while log_ is reused for the next round.
   void deliver(Metrics& m, trace::TraceWriter* trace = nullptr,
                support::ThreadPool* pool = nullptr, unsigned lanes = 1) {
     check_sealed();
@@ -529,9 +514,23 @@ class MessagePlane {
       }
     }
 
+    std::size_t indexed = 0;
+    broadcasts_.clear();
+    for (const WireGroup& g : wire_) {
+      switch (g.kind) {
+        case SendLog<P>::Kind::kUnicast: ++indexed; break;
+        case SendLog<P>::Kind::kList: indexed += g.b; break;
+        case SendLog<P>::Kind::kBroadcast:
+          broadcasts_.push_back(Broadcast{g.base, g.payload, g.from, g.from});
+          break;
+        case SendLog<P>::Kind::kBroadcastSelf:
+          broadcasts_.push_back(Broadcast{g.base, g.payload, g.from, kNobody});
+          break;
+      }
+    }
     counts_.assign(n_, 0);
     const bool par = pool != nullptr && lanes > 1 && n_ >= lanes &&
-                     sealed_ >= kParallelGrain;
+                     indexed >= kParallelGrain;
     if (par) {
       pool->run([&](unsigned w) {
         count_range(dest_lo(w, lanes), dest_lo(w + 1, lanes));
@@ -539,8 +538,11 @@ class MessagePlane {
     } else {
       count_range(0, n_);
     }
-    build_offsets();
-    staging_.resize(sealed_ - dropped);
+    for (std::uint32_t p = 0; p < n_; ++p) {
+      offsets_[p + 1] = offsets_[p] + counts_[p];
+      counts_[p] = offsets_[p];  // reuse as scatter cursors
+    }
+    entries_.resize(indexed);
     if (par) {
       pool->run([&](unsigned w) {
         scatter_range(dest_lo(w, lanes), dest_lo(w + 1, lanes));
@@ -548,175 +550,32 @@ class MessagePlane {
     } else {
       scatter_range(0, n_);
     }
-    inbox_store_.swap(staging_);
-    inbox_offsets_.swap(scratch_offsets_);
-  }
 
-  /// Materialized delivery fused with the next round's compute phase (the
-  /// engine's pipelining). The scatter job's lane w, after writing every
-  /// inbox in its destination range, immediately runs compute(w, lo, hi) —
-  /// which may read those inboxes via staged_inbox(p) for p in [lo, hi).
-  /// Receiver ranges equal compute shards, so no lane reads another lane's
-  /// staging slice. Inboxes/metrics are bit-identical to deliver().
-  template <class ComputeFn>
-  void deliver_fused(Metrics& m, support::ThreadPool& pool, unsigned lanes,
-                     ComputeFn&& compute) {
-    check_sealed();
-    m.messages += sealed_;
-    m.comm_bits += wire_bits_;
-    const std::size_t dropped = drops_.count();
-    m.omitted += dropped;
-
-    counts_.assign(n_, 0);
-    pool.run([&](unsigned w) {
-      count_range(dest_lo(w, lanes), dest_lo(w + 1, lanes));
-    });
-    build_offsets();
-    staging_.resize(sealed_ - dropped);
-    pool.run([&](unsigned w) {
-      const ProcessId lo = dest_lo(w, lanes);
-      const ProcessId hi = dest_lo(w + 1, lanes);
-      scatter_range(lo, hi);
-      compute(w, lo, hi);
-    });
-    inbox_store_.swap(staging_);
-    inbox_offsets_.swap(scratch_offsets_);
-  }
-
-  /// Inbox of p inside a deliver_fused compute continuation: the slice the
-  /// current lane just scattered (identical to what inbox(p) returns after
-  /// the fused call completes).
-  std::span<const Message<P>> staged_inbox(ProcessId p) const {
-    return std::span<const Message<P>>(
-        staging_.data() + scratch_offsets_[p],
-        scratch_offsets_[p + 1] - scratch_offsets_[p]);
-  }
-
-  /// Streamed delivery: aggregate accounting (identical Metrics totals to
-  /// deliver()), no inbox materialization. The sealed wire is swapped into
-  /// the front buffer that stream_inbox() iterates next round; per-receiver
-  /// multicast entries are indexed once (counting sort over kList groups,
-  /// sharded by receiver range when a pool is given) so a receiver's walk
-  /// cost is O(groups + its own multicast entries) — or O(its own entries)
-  /// when the whole wire is multicasts. Tracing is not supported in this
-  /// mode (the engine routes traced runs through deliver()).
-  void deliver_streamed(Metrics& m, support::ThreadPool* pool = nullptr,
-                        unsigned lanes = 1) {
-    check_sealed();
-    streamed_mode_ = true;
-    m.messages += sealed_;
-    m.comm_bits += wire_bits_;
-    const std::size_t dropped = drops_.count();
-    m.omitted += dropped;
-
-    // Per-receiver index of kList logical messages, ascending by logical
-    // index within each receiver (counting sort in group order).
-    std::size_t list_total = 0;
-    for (const WireGroup& g : wire_) {
-      if (g.kind == SendLog<P>::Kind::kList) list_total += g.b;
-    }
-    counts_.assign(n_, 0);
-    const bool par = pool != nullptr && lanes > 1 && n_ >= lanes &&
-                     list_total >= kParallelGrain;
-    if (par) {
-      pool->run([&](unsigned w) {
-        list_count_range(dest_lo(w, lanes), dest_lo(w + 1, lanes));
-      });
-    } else {
-      list_count_range(0, n_);
-    }
-    listed_offsets_.resize(n_ + 1);
-    listed_offsets_[0] = 0;
-    for (std::uint32_t p = 0; p < n_; ++p) {
-      listed_offsets_[p + 1] = listed_offsets_[p] + counts_[p];
-      counts_[p] = listed_offsets_[p];  // reuse as scatter cursors
-    }
-    listed_.resize(list_total);
-    if (par) {
-      pool->run([&](unsigned w) {
-        list_scatter_range(dest_lo(w, lanes), dest_lo(w + 1, lanes));
-      });
-    } else {
-      list_scatter_range(0, n_);
-    }
-
-    // Swap the sealed wire into the front buffer. The wire index's payload
-    // and receiver pointers chase heap buffers, so swapping the own log's
-    // *contents* (and leaving stitched shard arenas in place — the engine
-    // double-banks them) keeps every pointer valid while log_ is reused
-    // for the next round.
     std::swap(log_, front_log_);
-    wire_.swap(front_wire_);
-    std::swap(drops_, front_drops_);
     // In a fault-free round the per-message drop test is pure overhead —
     // and an expensive one: the indices a receiver probes are spread over
     // an n^2-bit set (33 MB at n=16384), so every test is a cache miss.
     // One flag turns all of them into a register compare.
-    front_drops_any_ = dropped != 0;
-    front_only_lists_ = non_list_groups_ == 0;
-    listed_.swap(front_listed_);
-    listed_offsets_.swap(front_listed_offsets_);
-    front_valid_ = true;
+    drops_any_ = dropped != 0;
   }
 
-  /// Messages delivered to p by the most recent deliver() call.
-  std::span<const Message<P>> inbox(ProcessId p) const {
-    OMX_CHECK(!streamed_mode_,
-              "inbox() is unavailable after streamed delivery — this "
-              "machine requires materialized delivery "
-              "(Runner Options::delivery)");
-    return std::span<const Message<P>>(
-        inbox_store_.data() + inbox_offsets_[p],
-        inbox_offsets_[p + 1] - inbox_offsets_[p]);
-  }
-
-  /// Visit every message delivered to p by the most recent
-  /// deliver_streamed() call, in global send order: fn(from, payload).
-  /// Broadcast/unicast membership is O(1) per group; kList entries come
-  /// from the per-receiver index, merged by logical index — and when the
-  /// whole front wire is kList groups (graph-restricted machines), the
-  /// group walk is skipped entirely and the cost is O(p's own entries).
+  /// Visit every message delivered to p by the most recent deliver() call,
+  /// in global send order: fn(from, payload). Valid until the next seal()
+  /// (the engine reads it in the following computation phase). p's own
+  /// index entries are merged with the broadcast list by logical index.
   template <class Fn>
   void stream_inbox(ProcessId p, Fn&& fn) const {
-    if (!front_valid_) return;  // round 0: nothing delivered yet
-    std::size_t k = front_listed_offsets_.empty() ? 0
-                                                  : front_listed_offsets_[p];
-    const std::size_t k_end =
-        front_listed_offsets_.empty() ? 0 : front_listed_offsets_[p + 1];
-    if (front_only_lists_) {
-      for (; k < k_end; ++k) emit_listed(front_listed_[k], fn);
-      return;
-    }
-    for (const WireGroup& g : front_wire_) {
-      while (k < k_end && front_listed_[k].idx < g.base) {
-        emit_listed(front_listed_[k], fn);
-        ++k;
-      }
-      std::uint64_t idx;
-      switch (g.kind) {
-        case SendLog<P>::Kind::kUnicast:
-          if (g.a != p) continue;
-          idx = g.base;
-          break;
-        case SendLog<P>::Kind::kBroadcast:
-          if (p == g.from) continue;
-          idx = g.base + (p < g.from ? p : p - 1u);
-          break;
-        case SendLog<P>::Kind::kBroadcastSelf:
-          idx = g.base + p;
-          break;
-        case SendLog<P>::Kind::kList:
-          continue;  // covered by the per-receiver index
-      }
-      if (!front_drops_any_ ||
-          !front_drops_.test(static_cast<std::size_t>(idx))) {
-        fn(g.from, *g.payload);
+    const Entry* e = entries_.data() + offsets_[p];
+    const Entry* const e_end = entries_.data() + offsets_[p + 1];
+    for (const Broadcast& b : broadcasts_) {
+      for (; e != e_end && e->idx < b.base; ++e) visit_entry(*e, fn);
+      if (p == b.skip) continue;
+      const std::uint64_t idx = b.base + p - (p > b.skip ? 1 : 0);
+      if (!drops_any_ || !drops_.test(static_cast<std::size_t>(idx))) {
+        fn(b.from, *b.payload);
       }
     }
-    while (k < k_end) {
-      emit_listed(front_listed_[k], fn);
-      ++k;
-    }
+    for (; e != e_end; ++e) visit_entry(*e, fn);
   }
 
  private:
@@ -724,8 +583,8 @@ class MessagePlane {
   /// segments — global logical base, global payload slot (bit-size cache),
   /// and direct pointers to its payload and (kList) receiver list inside
   /// the owning segment. Pointers stay valid from seal() until the owning
-  /// log is next cleared, which is what lets the front buffer outlive the
-  /// swap in deliver_streamed().
+  /// log is next cleared, which is what lets delivered payloads outlive
+  /// the swap in deliver().
   struct WireGroup {
     std::uint64_t base;
     const P* payload;
@@ -737,9 +596,21 @@ class MessagePlane {
     typename SendLog<P>::Kind kind;
   };
 
-  struct ListedEntry {
-    std::uint64_t idx;    // logical index (drop lookup + ordering)
-    std::uint32_t group;  // ordinal into the (front) wire index
+  /// A delivered unicast or kList message in a receiver's index.
+  struct Entry {
+    std::uint64_t idx;  // logical index (drop lookup + merge order)
+    const P* payload;
+    ProcessId from;
+  };
+
+  /// A delivered broadcast group (compact copy of its wire entry). Rank r
+  /// of the fan-out goes to process r, shifted past `skip` (the sender of
+  /// a kBroadcast, kNobody for kBroadcastSelf).
+  struct Broadcast {
+    std::uint64_t base;
+    const P* payload;
+    ProcessId from;
+    ProcessId skip;
   };
 
   std::uint32_t fanout(const WireGroup& g) const {
@@ -786,128 +657,45 @@ class MessagePlane {
     }
   }
 
-  /// Tally surviving messages per receiver, restricted to receivers in
-  /// [lo, hi) — lanes on disjoint ranges touch disjoint counts_ slots.
+  /// Count unicast and kList entries addressed to [lo, hi) — lanes on
+  /// disjoint ranges touch disjoint counts_ slots.
   void count_range(ProcessId lo, ProcessId hi) {
     for (const WireGroup& g : wire_) {
-      switch (g.kind) {
-        case SendLog<P>::Kind::kUnicast: {
-          const auto q = static_cast<ProcessId>(g.a);
-          if (q >= lo && q < hi &&
-              !drops_.test(static_cast<std::size_t>(g.base))) {
-            ++counts_[q];
-          }
-          break;
+      if (g.kind == SendLog<P>::Kind::kUnicast) {
+        if (g.a >= lo && g.a < hi) ++counts_[g.a];
+      } else if (g.kind == SendLog<P>::Kind::kList) {
+        for (std::uint32_t r = 0; r < g.b; ++r) {
+          const ProcessId q = g.recs[r];
+          if (q >= lo && q < hi) ++counts_[q];
         }
-        case SendLog<P>::Kind::kBroadcast:
-          for (ProcessId q = lo; q < hi; ++q) {
-            if (q == g.from) continue;
-            const std::uint64_t i = g.base + (q < g.from ? q : q - 1u);
-            if (!drops_.test(static_cast<std::size_t>(i))) ++counts_[q];
-          }
-          break;
-        case SendLog<P>::Kind::kBroadcastSelf:
-          for (ProcessId q = lo; q < hi; ++q) {
-            if (!drops_.test(static_cast<std::size_t>(g.base + q))) {
-              ++counts_[q];
-            }
-          }
-          break;
-        case SendLog<P>::Kind::kList:
-          for (std::uint32_t r = 0; r < g.b; ++r) {
-            const ProcessId q = g.recs[r];
-            if (q >= lo && q < hi &&
-                !drops_.test(static_cast<std::size_t>(g.base + r))) {
-              ++counts_[q];
-            }
-          }
-          break;
       }
     }
   }
 
-  /// Turn counts into inbox offsets and scatter cursors.
-  void build_offsets() {
-    scratch_offsets_.resize(n_ + 1);
-    scratch_offsets_[0] = 0;
-    for (std::uint32_t p = 0; p < n_; ++p) {
-      scratch_offsets_[p + 1] = scratch_offsets_[p] + counts_[p];
-      counts_[p] = scratch_offsets_[p];  // reuse as scatter cursors
-    }
-  }
-
-  /// Scatter the survivors addressed to [lo, hi) into the staging buffer
-  /// through the per-receiver cursors. Stable: the wire index is walked in
-  /// global send order, so for a fixed receiver the cursor advances in
-  /// send order — identical inboxes at every lane count. Payloads are
-  /// copied (never moved): a broadcast payload is shared by several
-  /// receivers, possibly on different lanes. Slots are overwritten by
-  /// assignment, not reconstructed, so a payload holding a heap buffer
-  /// (e.g. a vector) reuses last round's capacity in place.
+  /// Scatter unicast and kList entries addressed to [lo, hi) through the
+  /// per-receiver cursors. Group order is ascending logical index, so each
+  /// receiver's entries land in send order at every lane count.
   void scatter_range(ProcessId lo, ProcessId hi) {
     for (const WireGroup& g : wire_) {
-      const std::uint32_t fan = fanout(g);
-      std::uint32_t r0 = 0;
-      std::uint32_t r1 = fan;
-      // Broadcast ranks map 1:1 onto ascending receivers; clip the rank
-      // window instead of scanning all n receivers per lane.
-      if (g.kind == SendLog<P>::Kind::kBroadcast ||
-          g.kind == SendLog<P>::Kind::kBroadcastSelf) {
-        const std::uint32_t skip =
-            g.kind == SendLog<P>::Kind::kBroadcast ? 1u : 0u;
-        r0 = lo <= g.from || skip == 0 ? lo : lo - skip;
-        r1 = std::min<std::uint32_t>(
-            fan, hi <= g.from || skip == 0 ? hi : hi - skip);
-      }
-      for (std::uint32_t r = r0; r < r1; ++r) {
-        const ProcessId to = receiver_of(g, r);
-        if (to < lo || to >= hi) continue;
-        const std::uint64_t i = g.base + r;
-        if (drops_.test(static_cast<std::size_t>(i))) continue;
-        Message<P>& dst = staging_[counts_[to]++];
-        dst.from = g.from;
-        dst.to = to;
-        dst.payload = *g.payload;
-      }
-    }
-  }
-
-  /// Count kList entries addressed to [lo, hi) (streamed-mode index build).
-  void list_count_range(ProcessId lo, ProcessId hi) {
-    for (const WireGroup& g : wire_) {
-      if (g.kind != SendLog<P>::Kind::kList) continue;
-      for (std::uint32_t r = 0; r < g.b; ++r) {
-        const ProcessId q = g.recs[r];
-        if (q >= lo && q < hi) ++counts_[q];
-      }
-    }
-  }
-
-  /// Scatter kList entries addressed to [lo, hi) into the per-receiver
-  /// multicast index (group order == ascending logical index per receiver).
-  void list_scatter_range(ProcessId lo, ProcessId hi) {
-    std::uint32_t gi = 0;
-    for (const WireGroup& g : wire_) {
-      if (g.kind == SendLog<P>::Kind::kList) {
+      if (g.kind == SendLog<P>::Kind::kUnicast) {
+        if (g.a >= lo && g.a < hi) {
+          entries_[counts_[g.a]++] = Entry{g.base, g.payload, g.from};
+        }
+      } else if (g.kind == SendLog<P>::Kind::kList) {
         for (std::uint32_t r = 0; r < g.b; ++r) {
           const ProcessId q = g.recs[r];
           if (q >= lo && q < hi) {
-            listed_[counts_[q]++] = ListedEntry{g.base + r, gi};
+            entries_[counts_[q]++] = Entry{g.base + r, g.payload, g.from};
           }
         }
       }
-      ++gi;
     }
   }
 
   template <class Fn>
-  void emit_listed(const ListedEntry& e, Fn& fn) const {
-    if (front_drops_any_ &&
-        front_drops_.test(static_cast<std::size_t>(e.idx))) {
-      return;
-    }
-    const WireGroup& g = front_wire_[e.group];
-    fn(g.from, *g.payload);
+  void visit_entry(const Entry& e, Fn& fn) const {
+    if (drops_any_ && drops_.test(static_cast<std::size_t>(e.idx))) return;
+    fn(e.from, *e.payload);
   }
 
   /// Wire-index group covering logical index i (valid after seal()).
@@ -937,31 +725,22 @@ class MessagePlane {
   DropSet drops_;
   std::size_t sealed_ = 0;          // wire size recorded at seal()
   std::uint64_t wire_bits_ = 0;     // total bits on the wire, cached at seal()
-  std::size_t non_list_groups_ = 0;
   mutable std::size_t hint_ = 0;    // sequential-access cursor for locate()
-
-  // Streamed-mode front buffer: last round's sealed wire index (plus the
-  // own-log contents, swapped out of the way of the next round), readable
-  // while the next round's sends accumulate.
-  SendLog<P> front_log_;
-  std::vector<WireGroup> front_wire_;
-  DropSet front_drops_;
-  bool front_drops_any_ = false;
-  bool front_only_lists_ = false;
-  std::vector<ListedEntry> front_listed_;
-  std::vector<std::size_t> front_listed_offsets_;
-  bool front_valid_ = false;
-  bool streamed_mode_ = false;
-
-  // Delivery scratch + double-buffered inboxes (all capacity-persistent).
   std::vector<std::uint64_t> payload_bits_;  // per payload slot, at seal()
-  std::vector<std::size_t> counts_;
-  std::vector<std::size_t> scratch_offsets_;
-  std::vector<ListedEntry> listed_;
-  std::vector<std::size_t> listed_offsets_;
-  std::vector<Message<P>> staging_;
-  std::vector<Message<P>> inbox_store_;
-  std::vector<std::size_t> inbox_offsets_;
+
+  // What the last deliver() handed to receivers, readable until the next
+  // seal(): the delivered round's own-log contents (shard arenas stay
+  // where the engine banked them), the per-receiver index and the
+  // broadcast list. drops_ is only reset at seal(), so receivers test it
+  // directly.
+  SendLog<P> front_log_;
+  bool drops_any_ = false;
+  std::vector<std::size_t> offsets_;  // n + 1 entries; receiver p owns
+                                      // entries_[offsets_[p], offsets_[p+1])
+  std::vector<Entry> entries_;
+  std::vector<Broadcast> broadcasts_;
+
+  std::vector<std::size_t> counts_;  // index-build counts, then cursors
   std::vector<std::vector<ScanHit>> scan_scratch_;
 };
 

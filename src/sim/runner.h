@@ -3,14 +3,15 @@
 // Drives a Machine<P> against an Adversary<P> under a rng::Ledger, producing
 // Metrics. One iteration of the loop is one round of the model:
 //
-//   1. local computation phase: every process (in id order) consumes its
-//      inbox and queues sends; random draws are billed to the ledger;
+//   1. local computation phase: every process (in id order) reads the
+//      messages delivered to it last round (RoundIo::for_each_in) and
+//      queues sends; random draws are billed to the ledger;
 //   2. the adversary — full information — inspects all states (via whatever
 //      probes it was wired with), the drawn coins, and the in-flight
 //      messages, corrupts processes (within budget t) and omits messages on
 //      corrupted processes' links;
-//   3. communication phase: surviving messages are delivered; they appear in
-//      receivers' inboxes next round.
+//   3. communication phase: surviving messages are delivered; receivers
+//      read them straight off the sealed wire next round.
 //
 // Phases 2 and 3 are inherently global; phase 1 is n independent local
 // transitions and is where essentially all wall-time goes at large n. With
@@ -19,14 +20,14 @@
 //
 //   * processes are split into contiguous shards [n*w/k, n*(w+1)/k); worker
 //     w steps its shard in ascending id order into a private staging
-//     SendLog arena, reading only last round's sealed inboxes;
+//     SendLog arena, reading only last round's delivered wire;
 //   * staged arenas are stitched onto the plane's wire as segments in shard
 //     order — pointers, not copies — which reconstructs the exact serial
 //     record/payload sequence (concatenating ascending-id shards in shard
 //     order *is* ascending id order) — so the adversary's indexed view, the
 //     drop bitset, and delivery are untouched. Arenas are double-banked by
-//     round parity so a wire being delivered (or held as the streamed front
-//     buffer) is never clobbered by the next round's staging;
+//     round parity so a delivered wire is never clobbered while the next
+//     round's staging reads it;
 //   * random draws are billed to per-process racks and reduced at the shard
 //     barrier (Ledger racked phase), making the totals independent of
 //     thread interleaving. A round runs racked only when the ledger proves
@@ -36,21 +37,9 @@
 //     budget-exhaustion points are exactly the serial ones.
 //
 // Phases 2 and 3 shard on the same pool: the adversary context carries the
-// pool for bulk drop scans (sim/adversary.h), and delivery's counting sort
-// shards by destination range (sim/message_plane.h) — all bit-identical to
-// the serial walks.
-//
-// With Options::pipeline, round k+1's computation phase is *fused* into
-// round k's delivery: each delivery lane, after scattering the inboxes of
-// its destination range, immediately steps those same processes through
-// round k+1 (destination ranges equal compute shards, so a lane only reads
-// inboxes it just wrote). This is only valid for machines whose phase 1
-// reads the prior round's inbox and per-process state (FloodSet, Ben-Or —
-// anything that runs sharded today), and the engine only engages it when
-// the round would have run sharded anyway, delivery is materialized, and
-// tracing is off (the trace format's canonical per-round event order cannot
-// interleave two rounds). Decisions, Metrics, and rng accounting are
-// bit-identical with the flag on or off.
+// pool for bulk drop scans (sim/adversary.h), and delivery's per-receiver
+// index build shards by receiver range (sim/message_plane.h) — all
+// bit-identical to the serial walks.
 //
 // The run ends when the machine reports finished() or max_rounds elapses
 // (the latter flagged in the result so tests can fail on non-termination).
@@ -66,7 +55,6 @@
 #include "rng/ledger.h"
 #include "sim/adversary.h"
 #include "sim/machine.h"
-#include "sim/message.h"
 #include "sim/message_plane.h"
 #include "sim/metrics.h"
 #include "support/check.h"
@@ -87,13 +75,14 @@ struct RunResult {
 /// Optional per-phase wall-clock accounting (bench_engine): cumulative
 /// nanoseconds spent in local computation, adversary intervention, and
 /// delivery. Costs one clock read per phase per round when enabled, nothing
-/// when not. compute_ns covers all of phase 1; in sharded rounds it splits
-/// into stage_ns (parallel stepping into staged arenas) and merge_ns
-/// (stitching staged arenas onto the wire + reducing the rng racks + the
-/// seal). Pipelined rounds bill their fused delivery+compute to fused_ns
-/// (neither compute_ns nor delivery_ns sees them). lane_busy_ns is the
-/// pool's per-lane busy time over the run (all phases), so stage/merge
-/// imbalance across lanes is visible without a profiler.
+/// when not. compute_ns covers all of phase 1, including each receiver's
+/// walk over the delivered wire (RoundIo::for_each_in); delivery_ns covers
+/// accounting, trace emission and the per-receiver index build. In sharded
+/// rounds compute_ns splits into stage_ns (parallel stepping into staged
+/// arenas) and merge_ns (stitching staged arenas onto the wire + reducing
+/// the rng racks + the seal). lane_busy_ns is the pool's per-lane busy time
+/// over the run (all phases), so stage/merge imbalance across lanes is
+/// visible without a profiler.
 struct EngineStats {
   std::uint64_t rounds = 0;
   std::uint64_t compute_ns = 0;
@@ -101,9 +90,7 @@ struct EngineStats {
   std::uint64_t delivery_ns = 0;
   std::uint64_t stage_ns = 0;
   std::uint64_t merge_ns = 0;
-  std::uint64_t fused_ns = 0;         // pipelined delivery+compute rounds
   std::uint64_t parallel_rounds = 0;  // rounds that took the sharded path
-  std::uint64_t pipelined_rounds = 0; // rounds whose compute rode a delivery
   std::vector<std::uint64_t> lane_busy_ns;  // per pool lane, whole run
   unsigned threads = 1;               // resolved worker-lane count
 };
@@ -135,24 +122,6 @@ class Runner {
     /// so the stream is bit-identical across thread counts. Ignored when
     /// tracing is compiled out (OMX_DISABLE_TRACING).
     trace::TraceWriter* trace = nullptr;
-    /// How phase 3 hands messages to receivers.
-    ///   * kMaterialized (default): counting-sorted inbox spans — what
-    ///     every machine supports, required for tracing.
-    ///   * kStreamed: no inbox buffer is ever built; machines iterate the
-    ///     sealed wire via RoundIo::for_each_in(). Metrics totals are
-    ///     identical to the materialized path. Only machines written
-    ///     against for_each_in() support this; a machine that calls
-    ///     io.inbox() fails loudly. Incompatible with tracing (the
-    ///     constructor rejects the combination).
-    enum class Delivery { kMaterialized, kStreamed };
-    Delivery delivery = Delivery::kMaterialized;
-    /// Fuse round k+1's computation into round k's delivery (see the header
-    /// comment). Requires threads > 1 and materialized delivery; silently
-    /// inert when tracing is on (the canonical trace order cannot
-    /// interleave rounds), when delivery is streamed, or in rounds that
-    /// fall back to serial stepping near rng-budget exhaustion. Results are
-    /// bit-identical with the flag on or off.
-    bool pipeline = false;
   };
 
   Runner(std::uint32_t n, std::uint32_t fault_budget, rng::Ledger* ledger,
@@ -166,20 +135,16 @@ class Runner {
                 "runner needs a ledger and an adversary");
     OMX_REQUIRE(ledger->num_processes() >= n,
                 "ledger must cover all processes");
-    OMX_REQUIRE(options_.delivery == Options::Delivery::kMaterialized ||
-                    options_.trace == nullptr,
-                "streamed delivery cannot emit per-message traces — run "
-                "traced executions with materialized delivery");
     unsigned lanes = options_.threads == 0
                          ? support::ThreadPool::hardware_threads()
                          : options_.threads;
     if (lanes > n_) lanes = n_ == 0 ? 1 : n_;
     if (lanes > 1) {
       pool_ = std::make_unique<support::ThreadPool>(lanes);
-      // Two banks of staging arenas, alternated by round parity: the wire
-      // holds pointers into the bank it was stitched from until its
-      // delivery completes (streamed mode: until the *next* delivery swaps
-      // the front buffer), so the following round must stage elsewhere.
+      // Two banks of staging arenas, alternated by round parity: the
+      // delivered wire holds pointers into the bank it was stitched from
+      // until the next round's computation has read it, so that round must
+      // stage elsewhere.
       stage_.reserve(2 * std::size_t{lanes});
       for (unsigned i = 0; i < 2 * lanes; ++i) stage_.emplace_back(n_);
       for (unsigned b = 0; b < 2; ++b) {
@@ -241,88 +206,71 @@ class Runner {
     std::vector<char> corrupt_seen;
     if (tracer != nullptr) corrupt_seen.assign(n_, 0);
 
-    const bool streamed = options_.delivery == Options::Delivery::kStreamed;
-    const MessagePlane<P>* const stream = streamed ? &plane : nullptr;
-    const std::span<const Message<P>> no_inbox;
-    // Pipelining preconditions that hold for the whole run; the per-round
-    // racked-admissibility check happens at each fuse point.
-    const bool pipeline_capable =
-        options_.pipeline && lanes_ > 1 && !streamed && tracer == nullptr;
-
     std::uint32_t round = 0;
-    // True when a fused delivery already ran this round's computation
-    // phase: the loop skips straight to the adversary phase.
-    bool staged_ahead = false;
-    for (;;) {
-      if (!staged_ahead) {
-        if (machine.finished()) break;
-        if (round >= options_.max_rounds) {
-          result.hit_round_cap = true;
-          break;
-        }
-        if (watchdog && Clock::now() >= give_up_at) {
-          result.hit_deadline = true;
-          break;
-        }
-        ledger_->begin_round_window();
-        machine.begin_round(round);
-        if (tracer != nullptr) {
-          tracer->emit(trace::Event{round, trace::kRoundBegin, 0, 0, 0, 0});
-        }
+    for (;; ++round) {
+      if (machine.finished()) break;
+      if (round >= options_.max_rounds) {
+        result.hit_round_cap = true;
+        break;
+      }
+      if (watchdog && Clock::now() >= give_up_at) {
+        result.hit_deadline = true;
+        break;
+      }
+      ledger_->begin_round_window();
+      machine.begin_round(round);
+      if (tracer != nullptr) {
+        tracer->emit(trace::Event{round, trace::kRoundBegin, 0, 0, 0, 0});
+      }
 
-        // Phase 1: local computation (+ queuing of sends). Sharded when the
-        // runner has lanes and the ledger proves budget checks cannot
-        // depend on billing order this round; serial otherwise.
-        if (stats) t0 = Clock::now();
-        plane.begin_round(round);
-        const bool sharded =
-            lanes_ > 1 &&
-            ledger_->racked_admissible(options_.rng_slack_calls,
-                                       options_.rng_slack_bits);
-        if (sharded) {
-          ledger_->begin_racked_phase();
-          pool_->run([&](unsigned w) {
-            SendLog<P>& log = *bank_ptrs_[round & 1][w];
-            log.clear();
-            log.set_round(round);
-            const auto lo = static_cast<ProcessId>(
-                (std::uint64_t{n_} * w) / lanes_);
-            const auto hi = static_cast<ProcessId>(
-                (std::uint64_t{n_} * (w + 1)) / lanes_);
-            for (ProcessId p = lo; p < hi; ++p) {
-              RoundIo<P> io(round, p,
-                            streamed ? no_inbox : plane.inbox(p), &log,
-                            &ledger_->source(p), w, stream);
-              machine.round(p, io);
-            }
-          });
-          if (stats) t1 = Clock::now();
-          // Shard order == ascending process-id order: the wire ends up
-          // byte-identical to a serial round.
-          plane.stitch(bank_ptrs_[round & 1]);
-          ledger_->end_racked_phase(options_.rng_slack_calls,
-                                    options_.rng_slack_bits);
-        } else {
-          for (ProcessId p = 0; p < n_; ++p) {
-            RoundIo<P> io(round, p,
-                          streamed ? no_inbox : plane.inbox(p),
-                          &plane.log(), &ledger_->source(p), 0, stream);
+      // Phase 1: local computation (+ queuing of sends). Sharded when the
+      // runner has lanes and the ledger proves budget checks cannot depend
+      // on billing order this round; serial otherwise.
+      if (stats) t0 = Clock::now();
+      plane.begin_round(round);
+      const bool sharded =
+          lanes_ > 1 &&
+          ledger_->racked_admissible(options_.rng_slack_calls,
+                                     options_.rng_slack_bits);
+      if (sharded) {
+        ledger_->begin_racked_phase();
+        pool_->run([&](unsigned w) {
+          SendLog<P>& log = *bank_ptrs_[round & 1][w];
+          log.clear();
+          log.set_round(round);
+          const auto lo =
+              static_cast<ProcessId>((std::uint64_t{n_} * w) / lanes_);
+          const auto hi =
+              static_cast<ProcessId>((std::uint64_t{n_} * (w + 1)) / lanes_);
+          for (ProcessId p = lo; p < hi; ++p) {
+            RoundIo<P> io(round, p, &plane, &log, &ledger_->source(p), w);
             machine.round(p, io);
           }
+        });
+        if (stats) t1 = Clock::now();
+        // Shard order == ascending process-id order: the wire ends up
+        // byte-identical to a serial round.
+        plane.stitch(bank_ptrs_[round & 1]);
+        ledger_->end_racked_phase(options_.rng_slack_calls,
+                                  options_.rng_slack_bits);
+      } else {
+        for (ProcessId p = 0; p < n_; ++p) {
+          RoundIo<P> io(round, p, &plane, &plane.log(), &ledger_->source(p));
+          machine.round(p, io);
         }
-        plane.seal();
-        if (stats && sharded) {
-          stats->stage_ns += static_cast<std::uint64_t>(
-              std::chrono::nanoseconds(t1 - t0).count());
-          stats->merge_ns += static_cast<std::uint64_t>(
-              std::chrono::nanoseconds(Clock::now() - t1).count());
-          ++stats->parallel_rounds;
-        }
-        if (tracer != nullptr) tap.drain(round, *tracer);
-        if (stats) {
-          stats->compute_ns += static_cast<std::uint64_t>(
-              std::chrono::nanoseconds(Clock::now() - t0).count());
-        }
+      }
+      plane.seal();
+      if (stats && sharded) {
+        stats->stage_ns += static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(t1 - t0).count());
+        stats->merge_ns += static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(Clock::now() - t1).count());
+        ++stats->parallel_rounds;
+      }
+      if (tracer != nullptr) tap.drain(round, *tracer);
+      if (stats) {
+        stats->compute_ns += static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(Clock::now() - t0).count());
       }
 
       // Phase 2: adversary intervention (full information), then a
@@ -352,64 +300,15 @@ class Runner {
       }
 
       // Phase 3: delivery + accounting. Sent-but-omitted messages still
-      // count toward communication (the sender spent the bits). When
-      // pipelining, fuse round+1's computation into the scatter pass —
-      // legal exactly when the loop top would have run round+1 sharded
-      // (same finished/cap/deadline/racked checks, evaluated on identical
-      // state: finished() is fixed once phase 1 ran, and the adversary
-      // cannot change it).
+      // count toward communication (the sender spent the bits).
       if (stats) t0 = Clock::now();
-      staged_ahead = false;
-      const std::uint32_t next = round + 1;
-      const bool fuse =
-          pipeline_capable && !machine.finished() &&
-          next < options_.max_rounds &&
-          !(watchdog && Clock::now() >= give_up_at) &&
-          ledger_->racked_admissible(options_.rng_slack_calls,
-                                     options_.rng_slack_bits);
-      if (fuse) {
-        ledger_->begin_round_window();
-        machine.begin_round(next);
-        ledger_->begin_racked_phase();
-        plane.deliver_fused(
-            m, *pool_, lanes_,
-            [&](unsigned w, ProcessId lo, ProcessId hi) {
-              SendLog<P>& log = *bank_ptrs_[next & 1][w];
-              log.clear();
-              log.set_round(next);
-              for (ProcessId p = lo; p < hi; ++p) {
-                RoundIo<P> io(next, p, plane.staged_inbox(p), &log,
-                              &ledger_->source(p), w, nullptr);
-                machine.round(p, io);
-              }
-            });
-        ledger_->end_racked_phase(options_.rng_slack_calls,
-                                  options_.rng_slack_bits);
-        plane.begin_round(next);
-        plane.stitch(bank_ptrs_[next & 1]);
-        plane.seal();
-        if (stats) {
-          stats->fused_ns += static_cast<std::uint64_t>(
-              std::chrono::nanoseconds(Clock::now() - t0).count());
-          ++stats->pipelined_rounds;
-          ++stats->parallel_rounds;
-          ++stats->rounds;
-        }
-        staged_ahead = true;
-      } else {
-        if (streamed) {
-          plane.deliver_streamed(m, pool_.get(), lanes_);
-        } else {
-          plane.deliver(m, tracer, pool_.get(), lanes_);
-        }
-        if (stats) {
-          stats->delivery_ns += static_cast<std::uint64_t>(
-              std::chrono::nanoseconds(Clock::now() - t0).count());
-          ++stats->rounds;
-        }
+      plane.deliver(m, tracer, pool_.get(), lanes_);
+      if (stats) {
+        stats->delivery_ns += static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(Clock::now() - t0).count());
+        ++stats->rounds;
       }
-      ++round;
-      m.rounds = round;
+      m.rounds = round + 1;
     }
 
     m.random_calls = ledger_->calls() - base_calls;

@@ -12,7 +12,6 @@
 namespace omx::adversary {
 namespace {
 
-using sim::Message;
 using sim::ProcessId;
 
 struct Bit {
@@ -31,7 +30,9 @@ class BroadcastMachine final : public sim::Machine<Bit> {
   std::uint32_t num_processes() const override { return n_; }
   void begin_round(std::uint32_t r) override { cur_ = r; }
   void round(ProcessId p, sim::RoundIo<Bit>& io) override {
-    for (const auto& m : io.inbox()) heard_[p].push_back(m.from);
+    io.for_each_in([&](ProcessId from, const Bit&) {
+      heard_[p].push_back(from);
+    });
     if (cur_ < rounds_) {
       for (ProcessId q = 0; q < n_; ++q) {
         if (q != p) io.send(q, Bit{1});

@@ -9,8 +9,7 @@
 // including a run with a finite random-bit budget, where the engine must
 // fall back to serial stepping near exhaustion so the budget cliff lands
 // on exactly the same draw. The flood-path grid additionally crosses wire
-// representations (legacy / packed / packed-streamed) with the round
-// pipelining flag.
+// representations (legacy / packed).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -36,8 +35,7 @@ struct FullVector {
 FullVector run(harness::Algo algo, harness::Attack attack, std::uint32_t n,
                std::uint64_t seed, unsigned threads,
                std::uint64_t bit_budget = rng::kUnlimited,
-               bool packed = false, bool streamed = false,
-               bool pipeline = false) {
+               bool packed = false) {
   harness::ExperimentConfig cfg;
   cfg.algo = algo;
   cfg.attack = attack;
@@ -50,8 +48,6 @@ FullVector run(harness::Algo algo, harness::Attack attack, std::uint32_t n,
   cfg.threads = threads;
   cfg.random_bit_budget = bit_budget;
   cfg.packed = packed;
-  cfg.streamed = streamed;
-  cfg.pipeline = pipeline;
   const auto r = harness::run_experiment(cfg);
   return FullVector{r.metrics.rounds,       r.metrics.messages,
                     r.metrics.comm_bits,    r.metrics.random_calls,
@@ -121,37 +117,23 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Flood-path mode matrix: the same run through every wire representation
-// (legacy / packed / packed-streamed), pipeline setting, and thread count
-// must produce the same observable vector as the legacy serial engine.
-// n is chosen so each round's all-to-all wire clears the engine's parallel
-// grain — the sharded delivery, adversary scan, and fused-pipeline paths
-// genuinely engage instead of falling back to serial.
+// (legacy / packed) and thread count must produce the same observable
+// vector as the legacy serial engine. n is chosen so each round's
+// all-to-all wire clears the engine's parallel grain — the sharded
+// delivery index and adversary scan genuinely engage instead of falling
+// back to serial.
 class FloodModeMatrix : public ::testing::TestWithParam<GridRow> {};
 
 TEST_P(FloodModeMatrix, AllModesMatchLegacySerial) {
   const GridRow& g = GetParam();
   const FullVector baseline = run(g.algo, g.attack, g.n, g.seed, 1);
-  struct Mode {
-    const char* name;
-    bool packed;
-    bool streamed;
-  };
-  for (const Mode mode : {Mode{"legacy", false, false},
-                          Mode{"packed", true, false},
-                          Mode{"packed-streamed", true, true}}) {
-    for (const bool pipeline : {false, true}) {
-      // Pipelining needs materialized delivery (the config rejects the
-      // streamed combination loudly; equivalence is vacuous there).
-      if (pipeline && mode.streamed) continue;
-      for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        SCOPED_TRACE(std::string(mode.name) +
-                     " pipeline=" + (pipeline ? "1" : "0") +
-                     " threads=" + std::to_string(threads));
-        const FullVector v =
-            run(g.algo, g.attack, g.n, g.seed, threads, rng::kUnlimited,
-                mode.packed, mode.streamed, pipeline);
-        EXPECT_TRUE(v == baseline);
-      }
+  for (const bool packed : {false, true}) {
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(packed ? "packed" : "legacy") +
+                   " threads=" + std::to_string(threads));
+      const FullVector v = run(g.algo, g.attack, g.n, g.seed, threads,
+                               rng::kUnlimited, packed);
+      EXPECT_TRUE(v == baseline);
     }
   }
 }

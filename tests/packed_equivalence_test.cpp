@@ -1,7 +1,7 @@
 // Packed-vs-legacy equivalence golden matrix.
 //
-// The packed representations (core/packed_view.h, support/run_set.h) and
-// the streamed delivery mode promise *bit-identical observable behaviour*:
+// The packed representations (core/packed_view.h, support/run_set.h)
+// promise *bit-identical observable behaviour*:
 // same decisions, same full Metrics vector, and — where traces apply —
 // byte-identical event streams. This suite pins that contract across
 // n x threads x attack, for the flood-set baseline, Ben-Or's fallback tail
@@ -57,11 +57,11 @@ void expect_same_metrics(const sim::Metrics& a, const sim::Metrics& b) {
 }
 
 // ---------------------------------------------------------------------------
-// FloodSet via the harness: legacy vs packed vs streamed, full matrix.
+// FloodSet via the harness: legacy vs packed, full matrix.
 
 harness::ExperimentResult flood_run(std::uint32_t n, std::uint32_t t,
                                     harness::Attack attack, unsigned threads,
-                                    bool packed, bool streamed,
+                                    bool packed,
                                     const std::string& trace_path = "") {
   harness::ExperimentConfig cfg;
   cfg.algo = harness::Algo::FloodSet;
@@ -72,7 +72,6 @@ harness::ExperimentResult flood_run(std::uint32_t n, std::uint32_t t,
   cfg.seed = 9;
   cfg.threads = threads;
   cfg.packed = packed;
-  cfg.streamed = streamed;
   cfg.trace_path = trace_path;
   return harness::run_experiment(cfg);
 }
@@ -94,20 +93,14 @@ TEST_P(FloodPackedMatrix, PackedAndStreamedMatchLegacy) {
   const std::string trace_packed =
       trace ? (dir / ("packed_" + tag + ".trace")).string() : "";
 
-  const auto legacy =
-      flood_run(n, t, attack, threads, false, false, trace_legacy);
-  const auto packed =
-      flood_run(n, t, attack, threads, true, false, trace_packed);
-  const auto legacy_streamed = flood_run(n, t, attack, threads, false, true);
-  const auto packed_streamed = flood_run(n, t, attack, threads, true, true);
+  const auto legacy = flood_run(n, t, attack, threads, false, trace_legacy);
+  const auto packed = flood_run(n, t, attack, threads, true, trace_packed);
 
   ASSERT_TRUE(legacy.ok());
-  for (const auto* other : {&packed, &legacy_streamed, &packed_streamed}) {
-    expect_same_metrics(legacy.metrics, other->metrics);
-    EXPECT_EQ(legacy.decision, other->decision);
-    EXPECT_EQ(legacy.time_rounds, other->time_rounds);
-    EXPECT_EQ(legacy.ok(), other->ok());
-  }
+  expect_same_metrics(legacy.metrics, packed.metrics);
+  EXPECT_EQ(legacy.decision, packed.decision);
+  EXPECT_EQ(legacy.time_rounds, packed.time_rounds);
+  EXPECT_EQ(legacy.ok(), packed.ok());
   if (trace) {
     const std::string a = slurp(trace_legacy);
     const std::string b = slurp(trace_packed);
@@ -129,32 +122,22 @@ INSTANTIATE_TEST_SUITE_P(
                                                                : "RandOmit");
     });
 
-// n = 4096: a legacy run costs minutes (the O(n * pairs) consume loop this
-// PR replaces), so the large row pins what is checkable in test time —
-// the packed path is invariant across delivery mode and thread count, and
-// meets the consensus spec. Equivalence to legacy is covered by the rows
-// above plus the encoding units in packed_view_test.cpp.
+// n = 4096: a legacy run costs minutes (the O(n * pairs) consume loop the
+// packed views replace), so the large row pins what is checkable in test
+// time — the packed path is invariant across thread counts and meets the
+// consensus spec. Equivalence to legacy is covered by the rows above plus
+// the encoding units in packed_view_test.cpp.
 TEST(FloodPackedScale, N4096InvariantAcrossDeliveryAndThreads) {
   const std::uint32_t n = 4096, t = 3;
-  harness::ExperimentResult base;
-  bool first = true;
-  for (const unsigned threads : {1u, 8u}) {
-    for (const bool streamed : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " streamed=" + std::to_string(streamed));
-      const auto r = flood_run(n, t, harness::Attack::None, threads,
-                               /*packed=*/true, streamed);
-      ASSERT_TRUE(r.ok());
-      if (first) {
-        base = r;
-        first = false;
-        continue;
-      }
-      expect_same_metrics(base.metrics, r.metrics);
-      EXPECT_EQ(base.decision, r.decision);
-      EXPECT_EQ(base.time_rounds, r.time_rounds);
-    }
-  }
+  const auto base = flood_run(n, t, harness::Attack::None, /*threads=*/1,
+                              /*packed=*/true);
+  ASSERT_TRUE(base.ok());
+  const auto r = flood_run(n, t, harness::Attack::None, /*threads=*/8,
+                           /*packed=*/true);
+  ASSERT_TRUE(r.ok());
+  expect_same_metrics(base.metrics, r.metrics);
+  EXPECT_EQ(base.decision, r.decision);
+  EXPECT_EQ(base.time_rounds, r.time_rounds);
 }
 
 // ---------------------------------------------------------------------------

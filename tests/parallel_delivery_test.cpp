@@ -1,20 +1,18 @@
 // The parallel delivery substrate (sim/message_plane.h) and the bulk
 // adversary scan APIs (sim/adversary.h): segment stitching reproduces the
-// serial wire exactly, pool-sharded counting-sort delivery yields
-// bit-identical inboxes and metrics, drop_where/scan_messages match the
-// serial scans (including rng draw order), the all-multicast streamed fast
-// path replays the same messages, deliver_fused hands each compute shard
-// the inboxes its lane just scattered, and the thread pool's per-lane busy
-// counters actually tick.
+// serial wire exactly, every receiver's delivered sequence equals the
+// wire's surviving logical messages addressed to it (serial and
+// pool-sharded index builds, mixed and all-multicast wires),
+// drop_where/scan_messages match the serial scans (including rng draw
+// order), and the thread pool's per-lane busy counters actually tick.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
-#include "core/params.h"
-#include "harness/experiment.h"
 #include "sim/adversary.h"
 #include "sim/message_plane.h"
 #include "sim/metrics.h"
@@ -36,14 +34,21 @@ constexpr unsigned kLanes = 4;
 // Queue a deterministic mixed wire (unicasts + broadcasts + multicasts)
 // through `log`, restricted to senders in [lo, hi). With [0, n) this is
 // exactly the serial round; per-shard ranges stitched in order reproduce it.
+// Every process also multicasts to 16 neighbours, so unicasts plus list
+// entries (the per-receiver index) clear kParallelGrain on their own and
+// a 4-lane delivery really shards the index build.
+constexpr std::uint32_t kFanout = 16;
+static_assert(kN * (kFanout + 1) >= MessagePlane<Pay>::kParallelGrain);
+
 void queue_sends(SendLog<Pay>& log, std::uint32_t lo, std::uint32_t hi) {
   for (std::uint32_t p = lo; p < hi; ++p) {
     log.broadcast(p, Pay{p}, /*include_self=*/p % 2 == 0);
     log.send(p, (p + 7) % kN, Pay{p * 3 + 1});
-    if (p % 3 == 0) {
-      const ProcessId neigh[] = {(p + 1) % kN, (p + 5) % kN, (p + 9) % kN};
-      log.multicast(p, neigh, Pay{p * 5 + 2});
+    std::vector<ProcessId> neigh;
+    for (std::uint32_t d = 0; d < kFanout; ++d) {
+      neigh.push_back((p + 1 + 4 * d) % kN);
     }
+    log.multicast(p, neigh, Pay{p * 5 + 2});
   }
 }
 
@@ -96,10 +101,39 @@ void drop_some(Plane& plane) {
   }
 }
 
+using Delivered = std::vector<std::vector<std::pair<ProcessId, Pay>>>;
+
+// What each receiver must see: the sealed wire's surviving logical
+// messages addressed to it, in logical-index order.
+Delivered reference_of(const MessagePlane<Pay>& plane) {
+  Delivered ref(plane.num_processes());
+  plane.visit_index_range(
+      0, plane.num_messages(),
+      [&](std::uint64_t i, ProcessId from, ProcessId to) {
+        if (!plane.dropped(i)) ref[to].emplace_back(from, plane.payload(i));
+      });
+  return ref;
+}
+
+Delivered delivered_by(const MessagePlane<Pay>& plane) {
+  Delivered got(plane.num_processes());
+  for (ProcessId p = 0; p < plane.num_processes(); ++p) {
+    plane.stream_inbox(p, [&](ProcessId from, const Pay& pay) {
+      got[p].emplace_back(from, pay);
+    });
+  }
+  return got;
+}
+
+// A mixed wire (unicast, broadcast, broadcast-with-self and list groups)
+// with drops, delivered by the serial and the 4-lane index build.
 TEST(ParallelDelivery, InboxesAndMetricsMatchSerial) {
   MessagePlane<Pay> serial(kN);
   build_serial(serial);
   drop_some(serial);
+  const Delivered ref = reference_of(serial);
+  const std::size_t sent = serial.num_messages();
+  const std::size_t omitted = serial.num_dropped();
   Metrics ms;
   serial.deliver(ms);
 
@@ -111,58 +145,16 @@ TEST(ParallelDelivery, InboxesAndMetricsMatchSerial) {
   Metrics mp;
   par.deliver(mp, nullptr, &pool, kLanes);
 
+  EXPECT_EQ(ms.messages, sent);
+  EXPECT_EQ(ms.omitted, omitted);
   EXPECT_EQ(mp.messages, ms.messages);
   EXPECT_EQ(mp.comm_bits, ms.comm_bits);
   EXPECT_EQ(mp.omitted, ms.omitted);
+  const Delivered got_serial = delivered_by(serial);
+  const Delivered got_par = delivered_by(par);
   for (ProcessId p = 0; p < kN; ++p) {
-    const auto a = serial.inbox(p);
-    const auto b = par.inbox(p);
-    ASSERT_EQ(b.size(), a.size()) << "inbox of p" << p;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(b[i].from, a[i].from);
-      EXPECT_EQ(b[i].to, a[i].to);
-      EXPECT_EQ(b[i].payload, a[i].payload);
-    }
-  }
-}
-
-TEST(ParallelDelivery, FusedComputeSeesTheInboxesItsLaneScattered) {
-  MessagePlane<Pay> serial(kN);
-  build_serial(serial);
-  Metrics ms;
-  serial.deliver(ms);
-
-  support::ThreadPool pool(kLanes);
-  MessagePlane<Pay> par(kN);
-  std::vector<SendLog<Pay>> stage;
-  build_stitched(par, stage);
-  Metrics mp;
-  std::vector<std::size_t> seen_sizes(kN, 0);
-  std::vector<std::uint64_t> seen_sums(kN, 0);
-  par.deliver_fused(mp, pool, kLanes,
-                    [&](unsigned, ProcessId lo, ProcessId hi) {
-                      for (ProcessId p = lo; p < hi; ++p) {
-                        for (const Message<Pay>& msg : par.staged_inbox(p)) {
-                          ++seen_sizes[p];
-                          seen_sums[p] += msg.payload.v;
-                        }
-                      }
-                    });
-
-  EXPECT_EQ(mp.messages, ms.messages);
-  EXPECT_EQ(mp.comm_bits, ms.comm_bits);
-  for (ProcessId p = 0; p < kN; ++p) {
-    const auto ref = serial.inbox(p);
-    EXPECT_EQ(seen_sizes[p], ref.size()) << "p" << p;
-    std::uint64_t sum = 0;
-    for (const auto& msg : ref) sum += msg.payload.v;
-    EXPECT_EQ(seen_sums[p], sum) << "p" << p;
-    // After the fused call, inbox() shows the same contents.
-    const auto post = par.inbox(p);
-    ASSERT_EQ(post.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(post[i].payload, ref[i].payload);
-    }
+    EXPECT_EQ(got_serial[p], ref[p]) << "serial index, p" << p;
+    EXPECT_EQ(got_par[p], ref[p]) << "4-lane index, p" << p;
   }
 }
 
@@ -245,46 +237,27 @@ TEST(BulkAdversary, ScanMessagesConsumesInAscendingIndexOrder) {
 
 TEST(StreamedDelivery, AllMulticastWireTakesTheListOnlyPathCorrectly) {
   // Every send is a kList multicast (a graph-restricted machine's wire):
-  // the streamed front buffer takes the O(degree)-per-receiver fast path.
-  // Check against materialized delivery of the identical wire.
-  auto queue = [](MessagePlane<Pay>& plane) {
-    for (std::uint32_t p = 0; p < kN; ++p) {
-      std::vector<ProcessId> neigh;
-      for (std::uint32_t d = 1; d <= 20; ++d) neigh.push_back((p + d) % kN);
-      plane.multicast(p, neigh, Pay{p});
-    }
-  };
-  MessagePlane<Pay> mat(kN);
-  mat.begin_round(0);
-  queue(mat);
-  mat.seal();
-  drop_some(mat);
-  Metrics mm;
-  mat.deliver(mm);
+  // receivers walk only their own index entries, no broadcast list.
+  MessagePlane<Pay> plane(kN);
+  plane.begin_round(0);
+  for (std::uint32_t p = 0; p < kN; ++p) {
+    std::vector<ProcessId> neigh;
+    for (std::uint32_t d = 1; d <= 20; ++d) neigh.push_back((p + d) % kN);
+    plane.multicast(p, neigh, Pay{p});
+  }
+  plane.seal();
+  drop_some(plane);
+  const Delivered ref = reference_of(plane);
 
   support::ThreadPool pool(kLanes);
-  MessagePlane<Pay> str(kN);
-  str.begin_round(0);
-  queue(str);
-  str.seal();
-  drop_some(str);
-  Metrics msr;
-  str.deliver_streamed(msr, &pool, kLanes);
-
-  EXPECT_EQ(msr.messages, mm.messages);
-  EXPECT_EQ(msr.comm_bits, mm.comm_bits);
-  EXPECT_EQ(msr.omitted, mm.omitted);
+  Metrics m;
+  plane.deliver(m, nullptr, &pool, kLanes);
+  EXPECT_EQ(m.messages, kN * 20u);
+  EXPECT_EQ(m.omitted, (kN * 20u + 4) / 5);
+  const Delivered got = delivered_by(plane);
   for (ProcessId p = 0; p < kN; ++p) {
-    const auto ref = mat.inbox(p);
-    std::vector<std::pair<ProcessId, Pay>> got;
-    str.stream_inbox(p, [&](ProcessId from, const Pay& pay) {
-      got.emplace_back(from, pay);
-    });
-    ASSERT_EQ(got.size(), ref.size()) << "p" << p;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(got[i].first, ref[i].from);
-      EXPECT_EQ(got[i].second, ref[i].payload);
-    }
+    ASSERT_EQ(got[p].size(), ref[p].size()) << "p" << p;
+    EXPECT_EQ(got[p], ref[p]) << "p" << p;
   }
 }
 
@@ -300,39 +273,6 @@ TEST(ThreadPoolClocks, LaneBusyCountersTick) {
   for (unsigned w = 0; w < kLanes; ++w) {
     EXPECT_GT(pool.lane_busy_ns(w), 0u) << "lane " << w;
   }
-}
-
-TEST(EnginePipeline, FusedRoundsEngageAndMatchSerial) {
-  auto run = [](unsigned threads, bool pipeline, sim::EngineStats* stats) {
-    harness::ExperimentConfig cfg;
-    cfg.algo = harness::Algo::FloodSet;
-    cfg.attack = harness::Attack::RandomOmission;
-    cfg.n = 96;
-    cfg.t = core::Params::max_t_optimal(cfg.n);
-    cfg.seed = 3;
-    cfg.threads = threads;
-    cfg.pipeline = pipeline;
-    cfg.engine_stats = stats;
-    return harness::run_experiment(cfg);
-  };
-  const auto serial = run(1, false, nullptr);
-  sim::EngineStats stats;
-  const auto piped = run(4, true, &stats);
-  // The pipeline actually engaged (every round but the last can fuse) and
-  // billed its rounds to fused_ns, and the observable run is unchanged.
-  EXPECT_GT(stats.pipelined_rounds, 0u);
-  EXPECT_EQ(stats.pipelined_rounds + 1, stats.rounds);
-  EXPECT_GT(stats.fused_ns, 0u);
-  ASSERT_EQ(stats.lane_busy_ns.size(), 4u);
-  for (const std::uint64_t ns : stats.lane_busy_ns) EXPECT_GT(ns, 0u);
-  EXPECT_EQ(piped.metrics.rounds, serial.metrics.rounds);
-  EXPECT_EQ(piped.metrics.messages, serial.metrics.messages);
-  EXPECT_EQ(piped.metrics.comm_bits, serial.metrics.comm_bits);
-  EXPECT_EQ(piped.metrics.omitted, serial.metrics.omitted);
-  EXPECT_EQ(piped.metrics.random_calls, serial.metrics.random_calls);
-  EXPECT_EQ(piped.metrics.random_bits, serial.metrics.random_bits);
-  EXPECT_EQ(piped.decision, serial.decision);
-  EXPECT_EQ(piped.time_rounds, serial.time_rounds);
 }
 
 }  // namespace

@@ -28,9 +28,9 @@ class RingMachine final : public Machine<Ping> {
   std::uint32_t num_processes() const override { return n_; }
   void begin_round(std::uint32_t round) override { cur_ = round; }
   void round(ProcessId p, RoundIo<Ping>& io) override {
-    for (const auto& m : io.inbox()) {
-      received_[p].push_back(m.payload.value);
-    }
+    io.for_each_in([&](ProcessId, const Ping& ping) {
+      received_[p].push_back(ping.value);
+    });
     if (cur_ < rounds_) {
       io.send((p + 1) % n_, Ping{p * 1000 + cur_});
     }
@@ -187,9 +187,9 @@ class FanOutMachine final : public Machine<Ping> {
   std::uint32_t num_processes() const override { return 4; }
   void begin_round(std::uint32_t r) override { cur_ = r; }
   void round(ProcessId p, RoundIo<Ping>& io) override {
-    for (const auto& m : io.inbox()) {
-      received_[p].push_back(m.from * 1000 + m.payload.value);
-    }
+    io.for_each_in([&](ProcessId from, const Ping& ping) {
+      received_[p].push_back(from * 1000 + ping.value);
+    });
     if (cur_ == 0) {
       if (p == 0) {
         const ProcessId targets[] = {3, 1};

@@ -123,6 +123,22 @@ TEST(ConfigHash, IgnoresWorkerLaneCountButNotSeeds) {
   EXPECT_EQ(config_key(a).size(), 16u);
 }
 
+// Configs written while delivery was still a choice carry streamed= and
+// pipeline= lines. They must still parse, and resolve to the key of the
+// same text without those lines.
+TEST(ConfigHash, RetiredDeliveryLinesParseAndDoNotChangeTheKey) {
+  const std::string text =
+      "algo=floodset\nattack=rand-omit\nn=32\nt=4\nseed=5\npacked=1\n";
+  ExperimentConfig plain;
+  ExperimentConfig old;
+  std::string err;
+  ASSERT_TRUE(parse_config(text, &plain, &err)) << err;
+  ASSERT_TRUE(parse_config(text + "streamed=1\npipeline=1\n", &old, &err))
+      << err;
+  EXPECT_EQ(config_key(old), config_key(plain));
+  EXPECT_EQ(serialize_config(old), serialize_config(plain));
+}
+
 // ---------------------------------------------------------------------------
 // Verdict taxonomy through the isolation shell.
 

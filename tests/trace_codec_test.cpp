@@ -140,7 +140,12 @@ TEST(TraceCodec, MultiBlockStreamsDecodeBlockIndependently) {
 class PackedCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = scratch("corrupt");
+    // One directory per case: ctest runs the cases as parallel processes,
+    // and scratch() starts by wiping the directory it hands out.
+    dir_ = scratch(std::string("corrupt_") +
+                   ::testing::UnitTest::GetInstance()
+                       ->current_test_info()
+                       ->name());
     path_ = dir_ / "p.trace";
     (void)run_traced(path_, harness::Algo::BenOr,
                      harness::Attack::RandomOmission, 24, /*packed=*/true);

@@ -1,0 +1,115 @@
+// Trace-byte goldens: for a small (algorithm x adversary x lanes x storage
+// format) matrix, the FNV-1a hash of the complete trace file is pinned.
+// The hashes were captured from the engine that still materialized
+// per-receiver inboxes, so they freeze the exact event stream (send/drop
+// order, rng draws, corruptions, decisions) across any rewrite of how the
+// engine emits traces or delivers messages. trace_test.cpp checks that
+// traces agree across thread counts within one build; this suite checks
+// that they agree across versions.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+
+#include "core/params.h"
+#include "harness/experiment.h"
+
+namespace omx {
+namespace {
+
+namespace fs = std::filesystem;
+
+std::uint64_t fnv1a_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
+    h ^= static_cast<unsigned char>(*it);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct TraceGolden {
+  const char* name;
+  harness::Algo algo;
+  harness::Attack attack;
+  std::uint32_t n;
+  unsigned threads;
+  bool trace_packed;
+  std::uint64_t seed;
+  std::uint64_t hash;
+};
+
+class TraceGoldenRun : public ::testing::TestWithParam<TraceGolden> {};
+
+TEST_P(TraceGoldenRun, TraceBytesPinned) {
+  const TraceGolden& g = GetParam();
+  // One directory per case: ctest runs the cases as parallel processes.
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("omx_trace_golden_" + std::string(g.name));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  harness::ExperimentConfig cfg;
+  cfg.algo = g.algo;
+  cfg.attack = g.attack;
+  cfg.n = g.n;
+  cfg.t = g.algo == harness::Algo::Param ? core::Params::max_t_param(g.n)
+                                         : core::Params::max_t_optimal(g.n);
+  cfg.x = 3;
+  cfg.seed = g.seed;
+  cfg.threads = g.threads;
+  cfg.trace_path = (dir / "run.trace").string();
+  cfg.trace_packed = g.trace_packed;
+  const auto r = harness::run_experiment(cfg);
+  EXPECT_TRUE(r.ok());
+
+  const std::uint64_t got = fnv1a_file(cfg.trace_path);
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%016llx",
+                static_cast<unsigned long long>(got));
+  EXPECT_EQ(got, g.hash) << g.name << ": trace hash is " << hex;
+}
+
+using harness::Algo;
+using harness::Attack;
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, TraceGoldenRun,
+    ::testing::Values(
+        TraceGolden{"optimal_coin_hiding_s1", Algo::Optimal,
+                    Attack::CoinHiding, 96, 1, false, 1,
+                    0x28c6261ceccb2850ull},
+        TraceGolden{"optimal_coin_hiding_s2", Algo::Optimal,
+                    Attack::CoinHiding, 96, 1, false, 2,
+                    0x2bfffbff118fc8baull},
+        TraceGolden{"optimal_group_killer_3lanes_s1", Algo::Optimal,
+                    Attack::GroupKiller, 128, 3, false, 1,
+                    0xd063dfd1f5896ef6ull},
+        TraceGolden{"param_chaos_4lanes_s1", Algo::Param, Attack::Chaos, 64,
+                    4, false, 1, 0x30599d1cea97cd70ull},
+        TraceGolden{"param_chaos_4lanes_s2", Algo::Param, Attack::Chaos, 64,
+                    4, false, 2, 0x1591125616fc5eeaull},
+        TraceGolden{"floodset_rand_omit_s1", Algo::FloodSet,
+                    Attack::RandomOmission, 128, 1, false, 1,
+                    0xa82831767d561205ull},
+        TraceGolden{"floodset_rand_omit_s2", Algo::FloodSet,
+                    Attack::RandomOmission, 128, 1, false, 2,
+                    0xfbb76361d664b5d7ull},
+        TraceGolden{"benor_rand_omit_packed_trace_s1", Algo::BenOr,
+                    Attack::RandomOmission, 64, 1, true, 1,
+                    0x2ca6f4a333c2126dull},
+        TraceGolden{"benor_rand_omit_packed_trace_s2", Algo::BenOr,
+                    Attack::RandomOmission, 64, 1, true, 2,
+                    0x3f1617de380b9f76ull}),
+    [](const ::testing::TestParamInfo<TraceGolden>& info) {
+      return std::string(info.param.name);
+    });
+
+}  // namespace
+}  // namespace omx

@@ -247,33 +247,6 @@ TEST(TraceDeterminism, FloodRandOmitByteIdenticalAcrossThreadCounts) {
   }
 }
 
-// Requesting round pipelining alongside tracing must be silently inert (the
-// canonical per-round event order cannot interleave two rounds): the trace
-// bytes match a run with the flag off, at every thread count.
-TEST(TraceDeterminism, PipelineRequestIsInertWhenTracing) {
-  const fs::path dir = scratch("pipeline_traced");
-  harness::ExperimentConfig cfg;
-  cfg.algo = harness::Algo::FloodSet;
-  cfg.attack = harness::Attack::RandomOmission;
-  cfg.n = 96;
-  cfg.t = core::Params::max_t_optimal(cfg.n);
-  cfg.seed = 7;
-
-  cfg.threads = 1;
-  cfg.trace_path = (dir / "off.trace").string();
-  harness::run_experiment(cfg);
-  const std::string bytes = slurp(dir / "off.trace");
-  cfg.pipeline = true;
-  for (const unsigned threads : {1u, 4u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    cfg.threads = threads;
-    cfg.trace_path =
-        (dir / ("on_t" + std::to_string(threads) + ".trace")).string();
-    harness::run_experiment(cfg);
-    EXPECT_EQ(bytes, slurp(cfg.trace_path));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Divergence detection on synthetic streams.
 

@@ -95,7 +95,6 @@ void add_grid_flags(ArgParser* args) {
   args->add_option("drop-prob", "0.8", "drop probability for rand-omit");
   args->add_option("params", "practical", "practical | paper constants");
   args->add_flag("packed", "word-packed knowledge views (floodset/benor)");
-  args->add_flag("streamed", "streamed delivery (floodset/benor)");
 }
 
 /// Expand the grid flags into configs, mirroring omxsim's per-n t rule.
@@ -114,7 +113,6 @@ std::vector<harness::ExperimentConfig> expand_grid(const ArgParser& args) {
     base.random_bit_budget = static_cast<std::uint64_t>(budget);
   }
   base.packed = args.flag("packed");
-  base.streamed = args.flag("streamed");
 
   const auto t_flag = args.get_int("t");
   const auto first_seed = static_cast<std::uint64_t>(args.get_int("seed"));

@@ -130,12 +130,6 @@ int run_main(int argc, char** argv) {
   args.add_flag("packed",
                 "word-packed knowledge views (floodset/benor); bit-identical "
                 "results, much faster at large n");
-  args.add_flag("streamed",
-                "streamed delivery: no inbox materialization (floodset/"
-                "benor); metrics-identical, incompatible with --trace");
-  args.add_flag("pipeline",
-                "fuse round k+1 compute into round k delivery (floodset/"
-                "benor, needs --threads > 1); bit-identical results");
   args.add_flag("csv", "emit one CSV line per run instead of a table");
 
   if (!args.parse(argc, argv)) {
@@ -175,8 +169,6 @@ int run_main(int argc, char** argv) {
   cfg.schedule = args.get("schedule");
   cfg.trace_packed = args.flag("trace-packed");
   cfg.packed = args.flag("packed");
-  cfg.streamed = args.flag("streamed");
-  cfg.pipeline = args.flag("pipeline");
 
   harness::SweepOptions sweep_opts = harness::SweepOptions::from_env();
   if (!args.get("checkpoint").empty()) {
