@@ -42,8 +42,9 @@ class Outbox {
   /// ascending member order.
   virtual void all(Msg m) = 0;
 
-  /// Send one payload to the listed members, in list order.
-  virtual void many(std::span<const std::uint32_t> qs, const Msg& m) = 0;
+  /// Send one payload to the listed members, in list order. By value, so
+  /// an engine-backed outbox can move the single payload onto the wire.
+  virtual void many(std::span<const std::uint32_t> qs, Msg m) = 0;
 };
 
 /// Outbox over a plain callback — used by unit tests that capture sends
@@ -61,7 +62,7 @@ class FnOutbox final : public Outbox {
     }
   }
 
-  void many(std::span<const std::uint32_t> qs, const Msg& m) override {
+  void many(std::span<const std::uint32_t> qs, Msg m) override {
     for (std::uint32_t q : qs) send_(q, m);
   }
 
@@ -104,14 +105,14 @@ class IoOutbox final : public Outbox {
     }
   }
 
-  void many(std::span<const std::uint32_t> qs, const Msg& m) override {
+  void many(std::span<const std::uint32_t> qs, Msg m) override {
     if (embedded()) {
       scratch_->clear();
       scratch_->reserve(qs.size());
       for (std::uint32_t q : qs) scratch_->push_back(members_[q]);
-      io_.send_to(*scratch_, m);
+      io_.send_to(*scratch_, std::move(m));
     } else {
-      io_.send_to(qs, m);
+      io_.send_to(qs, std::move(m));
     }
   }
 

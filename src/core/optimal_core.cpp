@@ -70,10 +70,8 @@ OptimalCore::OptimalCore(OptimalConfig config,
     s.pack_valid.assign(num_groups, 0);
     s.pack_ones.assign(num_groups, 0);
     s.pack_zeros.assign(num_groups, 0);
-    const auto deg = graph_->degree(m);
-    s.link_dead.assign(deg, 0);
-    s.sent_mask.assign(static_cast<std::size_t>(deg) * num_groups, 0);
-    s.heard_from.assign(deg, 0);
+    s.announced.assign(num_groups, 0);
+    s.links = LiveLinks(graph_->neighbors(m));
   }
 }
 
@@ -158,15 +156,6 @@ void OptimalCore::decide(std::uint32_t m, std::uint8_t value) {
   terminated_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint32_t OptimalCore::neighbor_slot(std::uint32_t m,
-                                         std::uint32_t from) const {
-  const auto nb = graph_->neighbors(m);
-  const auto it = std::lower_bound(nb.begin(), nb.end(), from);
-  OMX_CHECK(it != nb.end() && *it == from,
-            "spread message from a non-neighbor");
-  return static_cast<std::uint32_t>(it - nb.begin());
-}
-
 void OptimalCore::epoch_reset(MemberState& s, std::uint32_t epoch) {
   if (s.last_reset_epoch == epoch) return;
   s.last_reset_epoch = epoch;
@@ -177,7 +166,7 @@ void OptimalCore::epoch_reset(MemberState& s, std::uint32_t epoch) {
   // estimate_fresh is deliberately NOT cleared: last_estimate() reports the
   // most recent completed epoch's estimate (vote_update overwrites it).
   std::fill(s.pack_valid.begin(), s.pack_valid.end(), 0);
-  std::fill(s.sent_mask.begin(), s.sent_mask.end(), 0);
+  std::fill(s.announced.begin(), s.announced.end(), 0);
 }
 
 void OptimalCore::stage_reset(MemberState& s) {
@@ -276,13 +265,10 @@ void OptimalCore::consume(std::uint32_t m, const Phase& prev,
     }
     case Kind::Spread: {
       if (!s.operative) break;  // idle until the end of the epoch
-      std::fill(s.heard_from.begin(), s.heard_from.end(), 0);
       for (const In& in : inbox) {
         const auto* sm = std::get_if<SpreadMsg>(in.msg);
         if (sm == nullptr) continue;
-        const std::uint32_t slot = neighbor_slot(m, in.from);
-        if (s.link_dead[slot]) continue;  // disregarded link
-        s.heard_from[slot] = 1;
+        if (!s.links.hear(in.from)) continue;  // disregarded link
         for (const SpreadEntry& e : sm->entries) {
           if (!s.pack_valid[e.group]) {
             s.pack_valid[e.group] = 1;
@@ -291,15 +277,7 @@ void OptimalCore::consume(std::uint32_t m, const Phase& prev,
           }
         }
       }
-      std::uint32_t received = 0;
-      for (std::size_t slot = 0; slot < s.heard_from.size(); ++slot) {
-        if (s.heard_from[slot]) {
-          ++received;
-        } else if (!s.link_dead[slot]) {
-          s.link_dead[slot] = 1;  // silent link: never use it again
-        }
-      }
-      if (received < min_in_links_) {
+      if (s.links.close_round() < min_in_links_) {  // silent links die
         s.operative = false;
         break;
       }
@@ -392,22 +370,20 @@ void OptimalCore::produce(std::uint32_t m, const Phase& cur, Outbox& send) {
         s.pack_ones[s.group] = s.cur_ones;
         s.pack_zeros[s.group] = s.cur_zeros;
       }
-      const auto nb = graph_->neighbors(m);
+      // One payload for every live link: a process operative now was
+      // operative in every earlier spread round of the epoch, and a link
+      // live now was live then (neither ever comes back), so each live link
+      // has carried exactly the entries announced so far and needs the
+      // same new ones.
       SpreadMsg msg;
-      for (std::uint32_t slot = 0; slot < nb.size(); ++slot) {
-        if (s.link_dead[slot]) continue;
-        msg.entries.clear();
-        std::uint8_t* sent = &s.sent_mask[static_cast<std::size_t>(slot) *
-                                          num_groups];
-        for (std::uint32_t g = 0; g < num_groups; ++g) {
-          if (s.pack_valid[g] && !sent[g]) {
-            sent[g] = 1;
-            msg.entries.push_back(
-                SpreadEntry{g, s.pack_ones[g], s.pack_zeros[g]});
-          }
+      for (std::uint32_t g = 0; g < num_groups; ++g) {
+        if (s.pack_valid[g] && !s.announced[g]) {
+          s.announced[g] = 1;
+          msg.entries.push_back(
+              SpreadEntry{g, s.pack_ones[g], s.pack_zeros[g]});
         }
-        send.to(nb[slot], msg);  // empty == heartbeat
       }
+      send.many(s.links.live(), std::move(msg));  // empty == heartbeat
       break;
     }
     case Kind::DecideBcast: {
@@ -486,7 +462,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> OptimalCore::dead_links()
   for (std::uint32_t m = 0; m < m_; ++m) {
     const auto nb = graph_->neighbors(m);
     for (std::uint32_t slot = 0; slot < nb.size(); ++slot) {
-      if (st_[m].link_dead[slot]) out.emplace_back(m, nb[slot]);
+      if (st_[m].links.dead(slot)) out.emplace_back(m, nb[slot]);
     }
   }
   return out;

@@ -9,7 +9,9 @@
 //      ⌈√n⌉ per-group (ones, zeros) counts along the sparse common graph G
 //      for spread_rounds(n) rounds, forwarding each entry at most once per
 //      link, killing links that fall silent, and going inoperative below
-//      Δ/3 live in-links.
+//      Δ/3 live in-links. Each round a process builds one SpreadMsg of the
+//      entries it has not announced yet and multicasts it to its live links
+//      (produce() says why that equals per-link forwarding).
 //   3. Biased-majority vote (lines 9–12): with estimated totals, fraction
 //      of ones > 18/30 → b=1; < 15/30 → b=0; otherwise b = fresh coin
 //      (the protocol's ONLY randomness — one bit per process per epoch).
@@ -32,6 +34,7 @@
 #include "adversary/probes.h"
 #include "core/flood_fallback.h"
 #include "core/io.h"
+#include "core/links.h"
 #include "core/messages.h"
 #include "core/params.h"
 #include "graph/comm_graph.h"
@@ -166,9 +169,9 @@ class OptimalCore {
     std::vector<std::uint8_t> pack_valid;   // per group (epoch-reset)
     std::vector<std::uint32_t> pack_ones;
     std::vector<std::uint32_t> pack_zeros;
-    std::vector<std::uint8_t> link_dead;    // per neighbor slot (persistent)
-    std::vector<std::uint8_t> sent_mask;    // [neighbor][group] (epoch-reset)
-    std::vector<std::uint8_t> heard_from;   // per neighbor slot (round scratch)
+    std::vector<std::uint8_t> announced;    // per group, sent on every live
+                                            // link (epoch-reset)
+    LiveLinks links;                        // on G (persistent)
 
     std::uint32_t last_reset_epoch = UINT32_MAX;
   };
@@ -180,7 +183,6 @@ class OptimalCore {
                rng::Source& rng);
   void produce(std::uint32_t m, const Phase& cur, Outbox& send);
   void decide(std::uint32_t m, std::uint8_t value);
-  std::uint32_t neighbor_slot(std::uint32_t m, std::uint32_t from) const;
   void vote_update(std::uint32_t m, rng::Source& rng);
 
   OptimalConfig cfg_;

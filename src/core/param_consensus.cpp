@@ -45,9 +45,7 @@ ParamMachine::ParamMachine(ParamConfig config,
   for (std::uint32_t p = 0; p < n_; ++p) {
     auto& s = st_[p];
     s.b = inputs[p];
-    const auto deg = graph_->degree(p);
-    s.link_dead.assign(deg, 0);
-    s.heard_from.assign(deg, 0);
+    s.links = LiveLinks(graph_->neighbors(p));
   }
 }
 
@@ -145,38 +143,21 @@ void ParamMachine::decide(sim::ProcessId p, std::uint8_t value) {
   terminated_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint32_t ParamMachine::neighbor_slot(sim::ProcessId p,
-                                          sim::ProcessId from) const {
-  const auto nb = graph_->neighbors(p);
-  const auto it = std::lower_bound(nb.begin(), nb.end(), from);
-  OMX_CHECK(it != nb.end() && *it == from,
-            "gossip message from a non-neighbor");
-  return static_cast<std::uint32_t>(it - nb.begin());
-}
-
 void ParamMachine::consume(sim::ProcessId p, const Phase& prev,
                            std::span<const In> inbox) {
   auto& s = st_[p];
   switch (prev.kind) {
     case Kind::Gossip: {
       if (!s.operative) break;  // idle until line 25
-      std::fill(s.heard_from.begin(), s.heard_from.end(), 0);
       for (const In& in : inbox) {
         const auto* gm = std::get_if<GossipMsg>(in.msg);
         if (gm == nullptr) continue;
-        const std::uint32_t slot = neighbor_slot(p, in.from);
-        if (s.link_dead[slot]) continue;
-        s.heard_from[slot] = 1;
+        if (!s.links.hear(in.from)) continue;
         if (gm->value >= 0 && s.consensus_decision < 0) {
           s.consensus_decision = gm->value;
         }
       }
-      std::uint32_t received = 0;
-      for (std::size_t slot = 0; slot < s.heard_from.size(); ++slot) {
-        if (s.heard_from[slot]) ++received;
-        else if (!s.link_dead[slot]) s.link_dead[slot] = 1;
-      }
-      if (received < min_in_links_) {
+      if (s.links.close_round() < min_in_links_) {
         s.operative = false;
         break;
       }
@@ -239,13 +220,7 @@ void ParamMachine::produce(sim::ProcessId p, const Phase& cur,
   switch (cur.kind) {
     case Kind::Gossip: {
       if (!s.operative) break;
-      const auto nb = graph_->neighbors(p);
-      auto& targets = scratch_targets_[io.lane()];
-      targets.clear();
-      for (std::uint32_t slot = 0; slot < nb.size(); ++slot) {
-        if (!s.link_dead[slot]) targets.push_back(nb[slot]);
-      }
-      io.send_to(targets, GossipMsg{s.consensus_decision});
+      io.send_to(s.links.live(), GossipMsg{s.consensus_decision});
       break;
     }
     case Kind::SafetySend: {

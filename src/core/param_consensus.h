@@ -23,6 +23,7 @@
 
 #include "adversary/probes.h"
 #include "core/flood_fallback.h"
+#include "core/links.h"
 #include "core/messages.h"
 #include "core/optimal_core.h"
 #include "core/params.h"
@@ -104,13 +105,11 @@ class ParamMachine final : public sim::Machine<Msg>,
     bool got_decision_msg = false;
     std::uint8_t decision = 0;
     std::int64_t decision_round = -1;
-    std::vector<std::uint8_t> link_dead;   // per neighbor slot (persistent)
-    std::vector<std::uint8_t> heard_from;  // round scratch
+    LiveLinks links;  // on G (persistent across gossip phases)
   };
 
   Phase phase_of(std::uint32_t r) const;
   void decide(sim::ProcessId p, std::uint8_t value);
-  std::uint32_t neighbor_slot(sim::ProcessId p, sim::ProcessId from) const;
   std::uint32_t group_of(sim::ProcessId p) const { return p / group_width_; }
   std::uint32_t local_index(sim::ProcessId p) const {
     return p % group_width_;

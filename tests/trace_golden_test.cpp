@@ -1,9 +1,11 @@
 // Trace-byte goldens: for a small (algorithm x adversary x lanes x storage
 // format) matrix, the FNV-1a hash of the complete trace file is pinned.
 // The hashes were captured from the engine that still materialized
-// per-receiver inboxes, so they freeze the exact event stream (send/drop
-// order, rng draws, corruptions, decisions) across any rewrite of how the
-// engine emits traces or delivers messages. trace_test.cpp checks that
+// per-receiver inboxes (the optimal_rand_omit rows from the core that still
+// built one SpreadMsg per link), so they freeze the exact event stream
+// (send/drop order, rng draws, corruptions, decisions) across any rewrite
+// of how the engine emits traces or delivers messages, or of how a
+// protocol builds its sends. trace_test.cpp checks that
 // traces agree across thread counts within one build; this suite checks
 // that they agree across versions.
 #include <gtest/gtest.h>
@@ -91,6 +93,15 @@ INSTANTIATE_TEST_SUITE_P(
         TraceGolden{"optimal_group_killer_3lanes_s1", Algo::Optimal,
                     Attack::GroupKiller, 128, 3, false, 1,
                     0xd063dfd1f5896ef6ull},
+        // Random omission kills spreading links unevenly mid-epoch, so
+        // these rows pin the per-sender live-link lists and the stitching
+        // of their multicast groups across shards.
+        TraceGolden{"optimal_rand_omit_4lanes_s1", Algo::Optimal,
+                    Attack::RandomOmission, 128, 4, false, 1,
+                    0x40d6b0399d648769ull},
+        TraceGolden{"optimal_rand_omit_4lanes_s2", Algo::Optimal,
+                    Attack::RandomOmission, 128, 4, false, 2,
+                    0x537ba0ea8a649ca8ull},
         TraceGolden{"param_chaos_4lanes_s1", Algo::Param, Attack::Chaos, 64,
                     4, false, 1, 0x30599d1cea97cd70ull},
         TraceGolden{"param_chaos_4lanes_s2", Algo::Param, Attack::Chaos, 64,
