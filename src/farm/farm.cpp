@@ -10,12 +10,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -38,6 +40,24 @@ std::uint64_t steady_now_ms() {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+double ms_between(std::chrono::steady_clock::time_point from,
+                  std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
+/// A poll(2) timeout from a millisecond count, saturated at INT_MAX.
+int poll_ms(std::uint64_t ms) {
+  return static_cast<int>(
+      std::min<std::uint64_t>(ms, std::numeric_limits<int>::max()));
+}
+
+/// A number for the status JSON, with `decimals` fixed digits.
+std::string json_fixed(double value, int decimals) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
+  return buf;
 }
 
 int exit_code_for_verdict(harness::Verdict v) {
@@ -115,12 +135,14 @@ std::string json_escape_min(const std::string& s) {
 
 }  // namespace
 
-Farm::Farm(FarmOptions options)
+Farm::Farm(FarmOptions options) : Farm(std::move(options), steady_now_ms) {}
+
+Farm::Farm(FarmOptions options, WorkQueue::Clock now)
     : options_(std::move(options)),
       queue_(WorkQueueOptions{options_.watchdog_ms, options_.max_attempts,
                               options_.backoff_base_ms,
                               options_.backoff_cap_ms},
-             steady_now_ms) {
+             std::move(now)) {
   OMX_REQUIRE(!options_.dir.empty(), "farm needs a state directory");
   OMX_REQUIRE(options_.workers >= 1 || !options_.listen.empty(),
               "farm needs local workers or a listen endpoint");
@@ -136,6 +158,7 @@ Farm::Farm(FarmOptions options)
     ::setenv("OMX_ARTIFACT_CACHE", (options_.dir + "/cache").c_str(), 0);
   }
   slots_.resize(static_cast<std::size_t>(options_.workers));
+  report_.slot_busy_ms.assign(slots_.size(), 0.0);
 }
 
 bool Farm::add(const harness::ExperimentConfig& cfg) {
@@ -224,7 +247,8 @@ void Farm::spawn_ready_workers() {
       worker_main(queue_.item(*index), slot);  // never returns
     }
     queue_.set_lease_pid(*index, pid);
-    slots_[static_cast<std::size_t>(slot)] = Slot{pid, *index};
+    slots_[static_cast<std::size_t>(slot)] =
+        Slot{pid, *index, PidFd(pid), std::chrono::steady_clock::now()};
   }
 }
 
@@ -251,60 +275,58 @@ void Farm::record_exhausted(const WorkItem& item, bool hung) {
   durable_dirty_ = true;
 }
 
-void Farm::reap_finished_workers() {
-  for (;;) {
-    int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-    if (pid <= 0) return;
-    // Find the slot this pid was leased to.
-    std::size_t slot = slots_.size();
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (slots_[s].pid == pid) slot = s;
-    }
-    if (slot == slots_.size()) continue;  // not a worker (should not happen)
-    const std::size_t index = slots_[slot].item_index;
-    slots_[slot] = Slot{};
-    const WorkItem& item = queue_.item(index);
+void Farm::reap_worker(std::size_t slot, bool blocking) {
+  const auto pid = static_cast<pid_t>(slots_[slot].pid);
+  int status = 0;
+  pid_t reaped = -1;
+  do {
+    reaped = ::waitpid(pid, &status, blocking ? 0 : WNOHANG);
+  } while (reaped < 0 && errno == EINTR);
+  if (reaped == 0) return;  // still running
+  report_.slot_busy_ms[slot] +=
+      ms_between(slots_[slot].forked_at, std::chrono::steady_clock::now());
+  const std::size_t index = slots_[slot].item_index;
+  slots_[slot] = Slot{};  // closes the pidfd
+  const WorkItem& item = queue_.item(index);
+  // reaped < 0 (ECHILD): another waiter in this process took the exit
+  // status, so the outcome is unknown. Settle it as a crash: the re-run's
+  // line deduplicates against any line this worker did record.
+  const bool exited = reaped == pid && WIFEXITED(status);
 
-    if (item.state == ItemState::Done) {
-      // The item was completed by a remote submission while this fork was
-      // still running (watchdog expiry + re-lease, then the race resolved
-      // both ways). The fork's own shard line, if it got that far, is
-      // byte-identical and deduplicates in the merge.
-      if (WIFEXITED(status)) ++report_.exit_codes[WEXITSTATUS(status)];
-      ++report_.duplicate_results;
-      continue;
+  if (item.state == ItemState::Done) {
+    // The item was completed by a remote submission while this fork was
+    // still running (watchdog expiry + re-lease, then the race resolved
+    // both ways). The fork's own shard line, if it got that far, is
+    // byte-identical and deduplicates in the merge.
+    if (exited) ++report_.exit_codes[WEXITSTATUS(status)];
+    ++report_.duplicate_results;
+    return;
+  }
+  if (exited) {
+    const int code = WEXITSTATUS(status);
+    ++report_.exit_codes[code];
+    if (code == 0 || code == 2 || code == 3 || code == 4) {
+      // Recorded outcome (the taxonomy codes are *recorded* model
+      // violations — deterministic, so a re-lease would just re-fail).
+      queue_.complete(index);
+      ++report_.done;
+      durable_dirty_ = true;
+      return;
     }
-    if (WIFEXITED(status)) {
-      const int code = WEXITSTATUS(status);
-      ++report_.exit_codes[code];
-      if (code == 0 || code == 2 || code == 3 || code == 4) {
-        // Recorded outcome (the taxonomy codes are *recorded* model
-        // violations — deterministic, so a re-lease would just re-fail).
-        queue_.complete(index);
-        ++report_.done;
-        durable_dirty_ = true;
-        continue;
-      }
-      // Any other exit (e.g. 6 = shard append failed) is an unrecorded
-      // trial: treat like a crash.
-    }
-    const bool hung = item.watchdog_fired;
-    if (WIFSIGNALED(status) || WIFEXITED(status)) {
-      if (hung) {
-        ++report_.watchdog_kills;
-      } else {
-        ++report_.crashed_workers;
-      }
-      // The dead worker may have torn its shard tail mid-write; repair
-      // before the slot is reused so later appends start on a line
-      // boundary.
-      report_.torn_shard_lines +=
-          repair_shard(shard_path(static_cast<int>(slot)));
-      if (item.state == ItemState::Leased && !queue_.fail(index)) {
-        record_exhausted(item, hung);
-      }
-    }
+    // Any other exit (e.g. 6 = shard append failed) is an unrecorded
+    // trial: treat like a crash.
+  }
+  const bool hung = item.watchdog_fired;
+  if (hung) {
+    ++report_.watchdog_kills;
+  } else {
+    ++report_.crashed_workers;
+  }
+  // The dead worker may have torn its shard tail mid-write; repair before
+  // the slot is reused so later appends start on a line boundary.
+  report_.torn_shard_lines += repair_shard(shard_path(static_cast<int>(slot)));
+  if (item.state == ItemState::Leased && !queue_.fail(index)) {
+    record_exhausted(item, hung);
   }
 }
 
@@ -342,11 +364,32 @@ std::string Farm::status_json() const {
      << ",\"watchdog_kills\":" << report_.watchdog_kills
      << ",\"remote_workers\":" << report_.remote_workers_seen
      << ",\"remote_results\":" << report_.remote_results
-     << ",\"duplicate_results\":" << report_.duplicate_results
-     << ",\"listen\":\""
+     << ",\"duplicate_results\":" << report_.duplicate_results;
+  const FarmReport clocked = clocked_report();
+  os << ",\"wall_ms\":" << json_fixed(clocked.wall_ms, 1)
+     << ",\"trials_per_s\":" << json_fixed(clocked.trials_per_s(), 2)
+     << ",\"utilization\":[";
+  for (std::size_t slot = 0; slot < clocked.slot_busy_ms.size(); ++slot) {
+    os << (slot == 0 ? "" : ",") << json_fixed(clocked.utilization(slot), 3);
+  }
+  os << "],\"listen\":\""
      << (worker_listener_ ? worker_listener_->endpoint().to_string() : "")
      << "\"}";
   return os.str();
+}
+
+FarmReport Farm::clocked_report() const {
+  FarmReport clocked = report_;
+  if (!run_started_) return clocked;
+  // One clock read for both, so a live slot never outlasts the wall time.
+  const auto now = std::chrono::steady_clock::now();
+  clocked.wall_ms = ms_between(*run_started_, now);
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].pid != -1) {
+      clocked.slot_busy_ms[slot] += ms_between(slots_[slot].forked_at, now);
+    }
+  }
+  return clocked;
 }
 
 // ---------------------------------------------------------------------------
@@ -667,46 +710,80 @@ void Farm::push_follow_lines(bool final_push) {
   }
 }
 
-void Farm::pump_network(int timeout_ms) {
+int Farm::wait_timeout_ms() const {
+  // +1: wake just past the deadline, not a millisecond before it.
+  const auto next = queue_.next_deadline_in();
+  int wait = next ? poll_ms(*next + 1) : -1;
+  // A backoff that ends between spawn_ready_workers()'s acquire() and the
+  // clock read above is in neither answer. has_eligible() reads the clock
+  // later still and sees such an item: never block while a free slot
+  // could take it.
+  const bool slot_free = std::any_of(
+      slots_.begin(), slots_.end(), [](const Slot& s) { return s.pid == -1; });
+  if (slot_free && queue_.has_eligible()) return 0;
+  for (const Slot& slot : slots_) {
+    if (slot.pid != -1) wait = slot.pidfd.cap_timeout(wait);
+  }
+  return wait;
+}
+
+void Farm::pump_events(int timeout_ms) {
+  enum class Source { StatusListener, WorkerListener, Remote, Slot };
   std::vector<pollfd> pfds;
-  std::vector<int> owner;  // parallel: -1 status listener, -2 worker
-                           // listener, else index into remotes_
-  const int status_fd = status_listener_fd_;
-  if (status_fd >= 0) {
-    pfds.push_back(pollfd{status_fd, POLLIN, 0});
-    owner.push_back(-1);
+  std::vector<std::pair<Source, std::size_t>> owner;  // parallel to pfds
+  const auto watch = [&](int fd, Source source, std::size_t index) {
+    pfds.push_back(pollfd{fd, POLLIN, 0});
+    owner.emplace_back(source, index);
+  };
+  if (status_listener_fd_ >= 0) {
+    watch(status_listener_fd_, Source::StatusListener, 0);
   }
   if (worker_listener_) {
-    pfds.push_back(pollfd{worker_listener_->fd(), POLLIN, 0});
-    owner.push_back(-2);
+    watch(worker_listener_->fd(), Source::WorkerListener, 0);
   }
   for (std::size_t i = 0; i < remotes_.size(); ++i) {
-    if (remotes_[i].conn->fd() < 0) continue;
-    pfds.push_back(pollfd{remotes_[i].conn->fd(), POLLIN, 0});
-    owner.push_back(static_cast<int>(i));
+    if (remotes_[i].conn->fd() >= 0) {
+      watch(remotes_[i].conn->fd(), Source::Remote, i);
+    }
   }
-  if (pfds.empty()) {
-    ::poll(nullptr, 0, timeout_ms);
-  } else {
-    const int ready = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (ready > 0) {
-      for (std::size_t i = 0; i < pfds.size(); ++i) {
-        if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        if (owner[i] == -1) {
-          serve_status_client(status_fd);
-        } else if (owner[i] == -2) {
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].pid != -1 && slots_[slot].pidfd.fd() >= 0) {
+      watch(slots_[slot].pidfd.fd(), Source::Slot, slot);
+    }
+  }
+  OMX_CHECK(timeout_ms >= 0 || !pfds.empty(),
+            "farm: the event loop would block with nothing to wake it");
+  if (::poll(pfds.data(), pfds.size(), timeout_ms) > 0) {
+    for (std::size_t i = 0; i < pfds.size(); ++i) {
+      if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      const auto [source, index] = owner[i];
+      switch (source) {
+        case Source::StatusListener:
+          serve_status_client(status_listener_fd_);
+          break;
+        case Source::WorkerListener:
           if (auto conn = worker_listener_->accept(0)) {
             remotes_.push_back(Remote{std::move(conn), RemotePeer{}});
           }
-        } else {
-          pump_remote(&remotes_[static_cast<std::size_t>(owner[i])]);
-        }
+          break;
+        case Source::Remote:
+          pump_remote(&remotes_[index]);
+          break;
+        case Source::Slot:
+          reap_worker(index, /*blocking=*/false);
+          break;
       }
+    }
+  }
+  // A worker without a pidfd cannot wake the poll; its cap_timeout()
+  // bounded the sleep, so its exit is seen here at most that late.
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].pid != -1 && slots_[slot].pidfd.fd() < 0) {
+      reap_worker(slot, /*blocking=*/false);
     }
   }
   std::erase_if(remotes_,
                 [](const Remote& r) { return r.conn->fd() < 0; });
-  push_follow_lines(false);
 }
 
 // ---------------------------------------------------------------------------
@@ -760,6 +837,7 @@ void Farm::write_artifacts_index() {
 FarmReport Farm::run() {
   // A client vanishing mid-response must not kill the daemon.
   ::signal(SIGPIPE, SIG_IGN);
+  run_started_ = std::chrono::steady_clock::now();
   resume_from_shards();
   status_listener_fd_ = options_.serve_socket ? open_socket() : -1;
   if (!options_.listen.empty()) {
@@ -773,24 +851,28 @@ FarmReport Farm::run() {
 
   while (!queue_.all_settled()) {
     kill_expired_leases();
-    reap_finished_workers();
     spawn_ready_workers();
-    // Sleep until the next timed event, bounded so child exits (which do
-    // not wake poll) are reaped promptly.
-    int timeout_ms = 20;
-    if (const auto next = queue_.next_deadline_in()) {
-      timeout_ms = static_cast<int>(
-          std::min<std::uint64_t>(*next + 1, 100));
-    }
-    pump_network(timeout_ms);
+    // Push before blocking: lines the last pass made durable (reaps,
+    // remote results, exhausted items) must not wait for the next event.
+    push_follow_lines(false);
+    pump_events(wait_timeout_ms());
   }
-  reap_finished_workers();  // collect any last exits before merging
+  // A fork still running here holds an item another worker recorded first
+  // (a remote submission beat it); its line could only deduplicate. Kill
+  // and reap it, so run() leaves no child of its own behind.
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].pid == -1) continue;
+    ::kill(static_cast<pid_t>(slots_[slot].pid), SIGKILL);
+    reap_worker(slot, /*blocking=*/true);
+  }
 
   const ShardScan merged = merge_shards(shard_dir(), merged_path());
   report_.torn_shard_lines += merged.torn_lines;
   report_.merged_path = merged_path();
   report_.releases = queue_.retries();
   write_artifacts_index();
+  report_.wall_ms =
+      ms_between(*run_started_, std::chrono::steady_clock::now());
   push_follow_lines(/*final_push=*/true);
 
   // Linger briefly so workers — connected or just now reconnecting after a
@@ -799,8 +881,9 @@ FarmReport Farm::run() {
   // this just ends it politely and promptly).
   const std::uint64_t linger_until =
       steady_now_ms() + options_.shutdown_linger_ms;
-  while (worker_listener_ && steady_now_ms() < linger_until) {
-    pump_network(20);
+  for (std::uint64_t now = steady_now_ms();
+       worker_listener_ && now < linger_until; now = steady_now_ms()) {
+    pump_events(poll_ms(linger_until - now));
     push_follow_lines(/*final_push=*/true);
   }
 

@@ -32,6 +32,16 @@
 // `<dir>/farm.sock`, answering with JSON — any number of clients can poll
 // (or, with "follow", stream) a running farm.
 //
+// The daemon is one poll(2) loop, and only events wake it: a frame from a
+// remote worker or a new worker connection, a status client, a local
+// worker's exit (each forked slot's pidfd polls readable when its worker
+// dies, and the loop reaps exactly that slot), and the next lease-watchdog
+// or backoff deadline. No fixed tick remains; a slot whose pidfd_open
+// failed bounds the wait instead (PidFd::cap_timeout), and a free slot with
+// an item already eligible does not wait at all. The daemon reaps only the
+// pids it forked, so children of an embedding program keep their exit
+// statuses.
+//
 // Remote workers (FarmOptions::listen nonempty) extend the failure domain
 // across the wire: `omxfarm work --connect <endpoint>` processes speak the
 // framed, checksummed transport protocol (transport.h) and are leased the
@@ -62,13 +72,16 @@
 //                       keeps the merge equal to a single-process sweep.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "farm/pidfd.h"
 #include "farm/transport.h"
 #include "farm/workqueue.h"
 #include "harness/sweep.h"
@@ -132,12 +145,28 @@ struct FarmReport {
   /// Worker exit-code histogram (0 ok-recorded, 2/3/4 the PR 4 taxonomy).
   std::map<int, std::uint64_t> exit_codes;
   std::string merged_path;
+  /// Throughput: run()'s wall time up to the published merge, and per
+  /// local worker slot the time it held a live worker (fork to reap).
+  double wall_ms = 0;
+  std::vector<double> slot_busy_ms;
   bool all_ok() const { return failed == 0; }
+  /// Trials recorded this run (done) per second of wall time.
+  double trials_per_s() const {
+    return wall_ms > 0 ? 1000.0 * static_cast<double>(done) / wall_ms : 0.0;
+  }
+  /// Share of the wall time slot `slot` held a live worker, in [0, 1].
+  double utilization(std::size_t slot) const {
+    return wall_ms > 0 ? slot_busy_ms.at(slot) / wall_ms : 0.0;
+  }
 };
 
 class Farm {
  public:
   explicit Farm(FarmOptions options);
+  /// As above, but lease deadlines and backoff run on `now` (monotonic ms;
+  /// the WorkQueue's clock) instead of the steady clock, so tests can
+  /// place a deadline between two of the daemon's clock reads.
+  Farm(FarmOptions options, WorkQueue::Clock now);
 
   /// Queue one sweep cell. Returns false for a duplicate config hash.
   bool add(const harness::ExperimentConfig& cfg);
@@ -175,6 +204,8 @@ class Farm {
   struct Slot {
     std::int64_t pid = -1;          // -1 = free
     std::size_t item_index = 0;
+    PidFd pidfd;                    // wakes the loop when the worker exits
+    std::chrono::steady_clock::time_point forked_at;
   };
   struct Remote {
     std::unique_ptr<Conn> conn;
@@ -197,14 +228,25 @@ class Farm {
   void resume_from_shards();
   void spawn_ready_workers();
   [[noreturn]] void worker_main(const WorkItem& item, int slot);
-  void reap_finished_workers();
+  /// Reap slot `slot`'s worker if it has exited (blocking: wait for it)
+  /// and settle its lease from the exit status.
+  void reap_worker(std::size_t slot, bool blocking);
   void kill_expired_leases();
   void record_exhausted(const WorkItem& item, bool hung);
   int open_socket();
-  void pump_network(int timeout_ms);
+  /// How long the loop may block: 0 while a free slot could lease an
+  /// item now, else until the next lease or backoff deadline, -1 (no
+  /// limit) when nothing is timed.
+  int wait_timeout_ms() const;
+  /// Block in poll(2) on every wake source (sockets, worker pidfds) for at
+  /// most timeout_ms, then serve what fired.
+  void pump_events(int timeout_ms);
   void serve_status_client(int listener);
   void pump_remote(Remote* remote);
   void push_follow_lines(bool final_push);
+  /// report_ with wall_ms and slot_busy_ms brought up to now (live
+  /// workers count until now).
+  FarmReport clocked_report() const;
   std::string artifacts_json() const;
   void write_artifacts_index();
   bool accept_result(const std::string& key, const std::string& line,
@@ -216,6 +258,7 @@ class Farm {
   WorkQueue queue_;
   std::vector<Slot> slots_;
   FarmReport report_;
+  std::optional<std::chrono::steady_clock::time_point> run_started_;
   int status_listener_fd_ = -1;  // <dir>/farm.sock listener (raw protocol)
   std::unique_ptr<Listener> worker_listener_;
   std::vector<Remote> remotes_;

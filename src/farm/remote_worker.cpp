@@ -1,17 +1,21 @@
 #include "farm/remote_worker.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
+#include "farm/pidfd.h"
 #include "farm/shard.h"
 #include "farm/test_hooks.h"
 #include "support/check.h"
@@ -335,6 +339,9 @@ bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
   }
   if (pid == 0) trial_child(key, epoch, cfg);  // never returns
 
+  // Sleep until the trial exits (its pidfd fires) or the next heartbeat is
+  // due; the holder closes the pidfd on every return below.
+  const PidFd pidfd(pid);
   std::uint64_t next_heartbeat = steady_now_ms() + heartbeat_ms_;
   int status = 0;
   for (;;) {
@@ -345,7 +352,12 @@ bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
       break;
     }
     const std::uint64_t now = steady_now_ms();
-    if (now >= next_heartbeat) {
+    if (now < next_heartbeat) {
+      const auto until_heartbeat = static_cast<int>(std::min<std::uint64_t>(
+          next_heartbeat - now, std::numeric_limits<int>::max()));
+      pollfd exit_event{pidfd.fd(), POLLIN, 0};
+      ::poll(&exit_event, 1, pidfd.cap_timeout(until_heartbeat));
+    } else {
       std::map<std::string, std::string> response;
       if (!rpc({{"type", "heartbeat"},
                 {"key", key},
@@ -369,7 +381,6 @@ bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
       }
       next_heartbeat = steady_now_ms() + heartbeat_ms_;
     }
-    ::usleep(10 * 1000);
   }
 
   const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;

@@ -137,6 +137,13 @@ std::optional<std::uint64_t> WorkQueue::next_deadline_in() const {
   return best;
 }
 
+bool WorkQueue::has_eligible() const {
+  const std::uint64_t now = now_();
+  return std::any_of(items_.begin(), items_.end(), [now](const WorkItem& i) {
+    return i.state == ItemState::Pending && i.eligible_at_ms <= now;
+  });
+}
+
 bool WorkQueue::all_settled() const {
   return std::all_of(items_.begin(), items_.end(), [](const WorkItem& i) {
     return i.state == ItemState::Done || i.state == ItemState::Failed;

@@ -132,7 +132,15 @@ class WorkQueue {
 
   /// Milliseconds until the next item becomes eligible or the next lease
   /// expires (for the daemon's poll timeout); nullopt if nothing is timed.
+  /// A pending item whose backoff has already ended is not a deadline: see
+  /// has_eligible().
   std::optional<std::uint64_t> next_deadline_in() const;
+
+  /// True iff some pending item could be leased right now. The daemon
+  /// checks this after acquire() came back empty, because a backoff can end
+  /// between that call's clock read and next_deadline_in()'s, and then
+  /// neither of the two reports the item.
+  bool has_eligible() const;
 
   bool all_settled() const;  // every item Done or Failed
   std::size_t size() const { return items_.size(); }

@@ -10,9 +10,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -132,6 +136,29 @@ TEST(WorkQueue, BackoffDoublesUpToTheCap) {
   EXPECT_EQ(waits, (std::vector<std::uint64_t>{100, 200, 300, 300}));
 }
 
+TEST(WorkQueue, ReportsABackoffThatEndedAfterAcquireSkippedIt) {
+  // The daemon asks acquire() for work, then next_deadline_in() how long
+  // it may sleep, and each call reads the clock. A backoff that ends
+  // between the two reads is in neither answer; has_eligible() reports it.
+  std::uint64_t now = 0;
+  WorkQueueOptions o;
+  o.backoff_base_ms = 10;
+  WorkQueue q(o, [&] { return now; });
+  ASSERT_TRUE(q.add("k", tiny(1)));
+  const auto idx = q.acquire(0, 1);
+  ASSERT_TRUE(idx.has_value());
+  ASSERT_TRUE(q.fail(*idx));  // eligible again at 10
+  EXPECT_FALSE(q.has_eligible());
+
+  now = 9;
+  EXPECT_FALSE(q.acquire(0, 2).has_value());  // still backing off
+  now = 10;                                   // ... and now not
+  EXPECT_EQ(q.next_deadline_in(), std::nullopt);
+  EXPECT_TRUE(q.has_eligible());
+  EXPECT_TRUE(q.acquire(0, 2).has_value());
+  EXPECT_FALSE(q.has_eligible());  // leased, so no longer pending
+}
+
 TEST(WorkQueue, RejectsDuplicateKeysAndUnknownResumes) {
   WorkQueue q(WorkQueueOptions{}, [] { return std::uint64_t{0}; });
   EXPECT_TRUE(q.add("k", tiny(1)));
@@ -211,6 +238,16 @@ TEST(Shards, MergePublishesCanonicalKeyOrder) {
 // ---------------------------------------------------------------------------
 // Farm end-to-end (real fork/reap; trials are sub-millisecond).
 
+/// Open descriptors of this process: a leaked worker pidfd shows up here.
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       fs::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
 TEST(Farm, MergedOutputEqualsSingleProcessSweep) {
   const fs::path dir = scratch("e2e");
 
@@ -234,8 +271,60 @@ TEST(Farm, MergedOutputEqualsSingleProcessSweep) {
   EXPECT_EQ(report.exit_codes.at(0), 6u);
   EXPECT_TRUE(report.all_ok());
 
+  // Throughput accounting: every slot ran a worker for part of the run and
+  // no slot can have been busy for longer than the run took.
+  EXPECT_GT(report.wall_ms, 0.0);
+  EXPECT_GT(report.trials_per_s(), 0.0);
+  ASSERT_EQ(report.slot_busy_ms.size(), 3u);
+  for (std::size_t slot = 0; slot < report.slot_busy_ms.size(); ++slot) {
+    EXPECT_LE(report.slot_busy_ms[slot], report.wall_ms) << "slot " << slot;
+    EXPECT_GT(report.utilization(slot), 0.0) << "slot " << slot;
+    EXPECT_LE(report.utilization(slot), 1.0) << "slot " << slot;
+  }
+
   EXPECT_EQ(sorted_lines(report.merged_path),
             sorted_lines(dir / "ref.jsonl"));
+}
+
+TEST(Farm, ReapsEachWorkerWhenItExits) {
+  // One worker runs 40 sub-millisecond trials back to back, so the farm's
+  // wall time is almost all dispatch: fork, reap, re-lease. The bound, 15 ms
+  // a trial, is below a 20 ms timer tick: a daemon that noticed worker exits
+  // on a timer rather than on each worker's pidfd fails it.
+  FarmOptions opts = fast_opts(scratch("prompt_reap") / "farm");
+  opts.workers = 1;
+  Farm farm(opts);
+  for (std::uint64_t s = 1; s <= 40; ++s) ASSERT_TRUE(farm.add(tiny(s)));
+  const auto start = std::chrono::steady_clock::now();
+  const FarmReport report = farm.run();
+  const auto wall = std::chrono::steady_clock::now() - start;
+
+  EXPECT_EQ(report.done, 40u);
+  EXPECT_LT(wall, std::chrono::milliseconds(40 * 15))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(wall).count()
+      << " ms for 40 trials";
+}
+
+TEST(Farm, LeavesOtherChildrenAlone) {
+  // A child the embedding program forked, already a zombie when the farm
+  // runs. The daemon reaps only its own workers, so the program still gets
+  // this child's exit status.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(42);
+  siginfo_t info{};
+  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(child), &info,
+                     WEXITED | WNOWAIT),
+            0);  // a zombie now, still unreaped
+
+  Farm farm(fast_opts(scratch("bystander") / "farm"));
+  for (std::uint64_t s = 1; s <= 2; ++s) ASSERT_TRUE(farm.add(tiny(s)));
+  EXPECT_TRUE(farm.run().all_ok());
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child) << std::strerror(errno);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 42);
 }
 
 TEST(Farm, CrashedWorkerBurnsOnlyItsLeaseAndConvergesByteIdentically) {
@@ -255,9 +344,11 @@ TEST(Farm, CrashedWorkerBurnsOnlyItsLeaseAndConvergesByteIdentically) {
   ::setenv("OMX_FARM_TEST_CRASH_KEY", harness::config_key(tiny(2)).c_str(), 1);
   Farm farm(fast_opts(dir / "farm"));
   for (std::uint64_t s = 1; s <= 4; ++s) ASSERT_TRUE(farm.add(tiny(s)));
+  const std::size_t fds_before = open_fd_count();
   const FarmReport report = farm.run();
   ::unsetenv("OMX_FARM_TEST_CRASH_KEY");
 
+  EXPECT_EQ(open_fd_count(), fds_before);  // the crashed worker's pidfd too
   EXPECT_EQ(report.crashed_workers, 1u);
   EXPECT_EQ(report.watchdog_kills, 0u);
   EXPECT_EQ(report.releases, 1u);  // re-leased exactly once
@@ -277,9 +368,11 @@ TEST(Farm, HungWorkerIsWatchdogKilledAndExhaustsToASyntheticOutcome) {
   opts.max_attempts = 2;
   Farm farm(opts);
   for (std::uint64_t s = 1; s <= 3; ++s) ASSERT_TRUE(farm.add(tiny(s)));
+  const std::size_t fds_before = open_fd_count();
   const FarmReport report = farm.run();
   ::unsetenv("OMX_FARM_TEST_HANG_KEY");
 
+  EXPECT_EQ(open_fd_count(), fds_before);  // killed workers' pidfds closed
   // Hung on both leases: the watchdog killed each, the budget allowed one
   // re-lease, then the daemon recorded a synthetic outcome.
   EXPECT_EQ(report.watchdog_kills, 2u);
@@ -308,6 +401,32 @@ TEST(Farm, HungWorkerIsWatchdogKilledAndExhaustsToASyntheticOutcome) {
     }
   }
   EXPECT_EQ(hung_seen, 1u);
+}
+
+TEST(Farm, DoesNotBlockWhenABackoffEndsBetweenClockReads) {
+  // One worker, one item that crashes once, no socket: while the retry
+  // backs off, nothing but the backoff deadline can wake the daemon. The
+  // clock moves 1 ms per read, so with some backoff from 1 to 6 ms the
+  // retry becomes eligible between the pass's acquire() and its
+  // next_deadline_in(), and neither reports it. A daemon that then blocked
+  // would wait forever; this one throws on "nothing to wake it" instead,
+  // and must do neither.
+  ::setenv("OMX_FARM_TEST_CRASH_KEY", harness::config_key(tiny(1)).c_str(),
+           1);
+  for (std::uint64_t backoff = 1; backoff <= 6; ++backoff) {
+    FarmOptions opts =
+        fast_opts(scratch("backoff_gap_" + std::to_string(backoff)) / "farm");
+    opts.workers = 1;
+    opts.backoff_base_ms = backoff;
+    std::uint64_t now = 0;
+    Farm farm(opts, [&now] { return ++now; });
+    ASSERT_TRUE(farm.add(tiny(1)));
+    FarmReport report;
+    EXPECT_NO_THROW(report = farm.run()) << "backoff " << backoff << " ms";
+    EXPECT_EQ(report.done, 1u) << "backoff " << backoff << " ms";
+    EXPECT_EQ(report.crashed_workers, 1u) << "backoff " << backoff << " ms";
+  }
+  ::unsetenv("OMX_FARM_TEST_CRASH_KEY");
 }
 
 TEST(Farm, ResumesFromShardsAndToleratesTornTails) {
@@ -386,6 +505,20 @@ TEST(FarmSocket, ServesStatusAndResultsWhileRunning) {
   }
   EXPECT_NE(status.find("\"items\":1"), std::string::npos) << status;
   EXPECT_NE(status.find("\"leased\":1"), std::string::npos) << status;
+  // Throughput so far: nothing recorded yet, the one slot busy.
+  EXPECT_NE(status.find("\"wall_ms\":"), std::string::npos) << status;
+  EXPECT_NE(status.find("\"trials_per_s\":0.00"), std::string::npos)
+      << status;
+  // EXPECT, not ASSERT: an early return would leave the daemon running.
+  const std::string util_key = "\"utilization\":[";
+  const auto util_at = status.find(util_key);
+  EXPECT_NE(util_at, std::string::npos) << status;
+  if (util_at != std::string::npos) {
+    const double util =
+        std::strtod(status.c_str() + util_at + util_key.size(), nullptr);
+    EXPECT_GT(util, 0.0) << status;
+    EXPECT_LE(util, 1.0) << status;
+  }
 
   const std::string results = Farm::query((dir / "farm").string(), "results");
   EXPECT_EQ(results, "");  // nothing durable yet — the only item hangs

@@ -211,14 +211,23 @@ int cmd_run(int argc, char** argv, bool serve) {
   for (const auto& cfg : expand_grid(args)) daemon.add(cfg);
 
   const farm::FarmReport report = daemon.run();
+  std::string utilization;
+  for (std::size_t slot = 0; slot < report.slot_busy_ms.size(); ++slot) {
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "%s%.2f", slot == 0 ? "" : " ",
+                  report.utilization(slot));
+    utilization += buf;
+  }
   std::fprintf(stderr,
                "farm: %zu items: %zu run, %zu resumed, %zu exhausted; "
                "%llu re-leases (%zu crashes, %zu watchdog kills), "
-               "%zu torn shard line(s)\n",
+               "%zu torn shard line(s); %.3f s wall, %.1f trials/s, "
+               "slot utilization [%s]\n",
                report.items, report.done, report.resumed, report.failed,
                static_cast<unsigned long long>(report.releases),
                report.crashed_workers, report.watchdog_kills,
-               report.torn_shard_lines);
+               report.torn_shard_lines, report.wall_ms / 1000.0,
+               report.trials_per_s(), utilization.c_str());
   if (report.remote_workers_seen > 0 || report.corrupt_frames > 0) {
     std::fprintf(stderr,
                  "farm: %zu remote hello(s): %zu results over the wire "
