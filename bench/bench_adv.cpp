@@ -14,6 +14,8 @@
 // starts from the schedule extracted out of the analytic run — so the
 // interesting number is the delta, and a zero delta is an honest result
 // (the analytic strategy was locally optimal under this mutation kernel).
+// The host's hardware thread count is stamped into the JSON, as
+// bench_engine does, so search_ms carries its provenance.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +25,7 @@
 #include "advsearch/search.h"
 #include "core/params.h"
 #include "harness/experiment.h"
+#include "support/thread_pool.h"
 
 namespace {
 
@@ -128,7 +131,10 @@ int main(int argc, char** argv) {
 
   std::string json = "{\n  \"n\": " + std::to_string(n) +
                      ",\n  \"iterations\": " + std::to_string(iters) +
-                     ",\n  \"search_seed\": 1,\n  \"arenas\": [\n";
+                     ",\n  \"search_seed\": 1,\n  \"hardware_threads\": " +
+                     std::to_string(
+                         omx::support::ThreadPool::hardware_threads()) +
+                     ",\n  \"arenas\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     char buf[256];

@@ -286,12 +286,16 @@ int run_bench(int argc, char** argv) {
   // rack reduction + seal); lane_busy_ms is the pool's per-lane busy time
   // over the run, so shard imbalance is visible straight from the JSON.
   // parallel_rounds counts rounds that actually took the sharded path (all
-  // of them, for unlimited rng budgets).
+  // of them, for unlimited rng budgets). The packed rand-omit row records
+  // the adversary phase at every lane count: it runs serially, so its
+  // adversary_ms should not move with lanes.
   const std::vector<Workload> sweep = {
       {"floodset/none/256", omx::harness::Algo::FloodSet,
        omx::harness::Attack::None, 256, 3},
       {"floodset/none/1024", omx::harness::Algo::FloodSet,
        omx::harness::Attack::None, 1024, 2},
+      {"floodset/rand-omit/1024/packed", omx::harness::Algo::FloodSet,
+       omx::harness::Attack::RandomOmission, 1024, 3, /*packed=*/true},
       {"optimal/none/256", omx::harness::Algo::Optimal,
        omx::harness::Attack::None, 256, 3},
       {"optimal/none/1024", omx::harness::Algo::Optimal,

@@ -201,16 +201,25 @@ class ScheduleAdversary final : public sim::Adversary<P> {
           break;
       }
     }
-    // Silences then drops, as one union'd wire scan each — both throw
-    // AdversaryViolation through drop_where if an uncorrupted endpoint
-    // sneaks in, which is exactly what rejects an illegal mutant.
+    // Silences then drops, as one union'd link walk each — both throw
+    // AdversaryViolation through drop_links if an uncorrupted endpoint
+    // sneaks in, which is exactly what rejects an illegal mutant. Every
+    // message a drop op can match has the op's sender, so the drop walk
+    // visits only the senders' links (a sender outside the system has
+    // none: its op is a no-op).
     if (!silenced_.empty()) ctx.silence_many(silenced_);
     if (!drops_.empty()) {
       std::sort(drops_.begin(), drops_.end());
-      ctx.drop_where([this](sim::ProcessId from, sim::ProcessId to) {
-        return std::binary_search(drops_.begin(), drops_.end(),
-                                  (std::uint64_t{from} << 32) | to);
-      });
+      senders_.reset(ctx.num_processes());
+      for (const std::uint64_t d : drops_) {
+        senders_.insert(static_cast<sim::ProcessId>(d >> 32));
+      }
+      ctx.drop_links(senders_, sim::ProcessSet{},
+                     [this](sim::ProcessId from, sim::ProcessId to) {
+                       return std::binary_search(
+                           drops_.begin(), drops_.end(),
+                           (std::uint64_t{from} << 32) | to);
+                     });
     }
   }
 
@@ -221,6 +230,7 @@ class ScheduleAdversary final : public sim::Adversary<P> {
   std::size_t next_ = 0;
   std::vector<sim::ProcessId> silenced_;
   std::vector<std::uint64_t> drops_;
+  sim::ProcessSet senders_;  // the drop ops' senders, this round
 };
 
 }  // namespace omx::adversary

@@ -95,21 +95,15 @@ class RandomOmissionAdversary final : public sim::Adversary<P> {
       for (auto p : faulty_) ctx.corrupt(p);
       corrupted_done_ = true;
     }
-    // Sharded candidate scan + serial coin consumption: the bernoulli
-    // stream is drawn per *attackable* message in ascending index order,
-    // exactly as the old serial loop did, at every thread count.
-    const OmissionMode mode = mode_;
-    ctx.scan_messages(
-        [&ctx, mode](sim::ProcessId from, sim::ProcessId to) {
-          if (from == to) return false;
-          return mode == OmissionMode::General
-                     ? (ctx.is_corrupted(from) || ctx.is_corrupted(to))
-                     : (mode == OmissionMode::SendOnly
-                            ? ctx.is_corrupted(from)
-                            : ctx.is_corrupted(to));
-        },
-        [&](std::size_t i, sim::ProcessId, sim::ProcessId) {
-          if (gen_.bernoulli(drop_prob_)) ctx.drop(i);
+    // One bernoulli draw per attackable message — sent by a faulty process
+    // unless receive-only, addressed to one unless send-only — in
+    // ascending index order.
+    const sim::ProcessSet none;
+    ctx.drop_links(
+        mode_ == OmissionMode::ReceiveOnly ? none : ctx.corrupted(),
+        mode_ == OmissionMode::SendOnly ? none : ctx.corrupted(),
+        [this](sim::ProcessId, sim::ProcessId) {
+          return gen_.bernoulli(drop_prob_);
         });
   }
 
@@ -136,10 +130,11 @@ class SplitBrainAdversary final : public sim::Adversary<P> {
     }
     // Corrupted endpoints talk only to/fro the lower half.
     const std::uint32_t half = half_;
-    ctx.drop_where([&ctx, half](sim::ProcessId from, sim::ProcessId to) {
-      return (ctx.is_corrupted(from) && to >= half) ||
-             (ctx.is_corrupted(to) && from >= half);
-    });
+    ctx.drop_links(ctx.corrupted(), ctx.corrupted(),
+                   [&ctx, half](sim::ProcessId from, sim::ProcessId to) {
+                     return (ctx.is_corrupted(from) && to >= half) ||
+                            (ctx.is_corrupted(to) && from >= half);
+                   });
   }
 
  private:
@@ -165,9 +160,8 @@ class StarveReceiversAdversary final : public sim::Adversary<P> {
       for (auto p : victims_) ctx.corrupt(p);
       corrupted_done_ = true;
     }
-    ctx.drop_where([&ctx](sim::ProcessId, sim::ProcessId to) {
-      return ctx.is_corrupted(to);
-    });
+    ctx.drop_links(sim::ProcessSet{}, ctx.corrupted(),
+                   [](sim::ProcessId, sim::ProcessId) { return true; });
   }
 
  private:
@@ -192,14 +186,10 @@ class ChaosAdversary final : public sim::Adversary<P> {
       ctx.corrupt(static_cast<sim::ProcessId>(gen_.below(n_)));
     }
     const double drop_prob = gen_.uniform01();  // fresh malice every round
-    ctx.scan_messages(
-        [&ctx](sim::ProcessId from, sim::ProcessId to) {
-          return from != to &&
-                 (ctx.is_corrupted(from) || ctx.is_corrupted(to));
-        },
-        [&](std::size_t i, sim::ProcessId, sim::ProcessId) {
-          if (gen_.bernoulli(drop_prob)) ctx.drop(i);
-        });
+    ctx.drop_links(ctx.corrupted(), ctx.corrupted(),
+                   [this, drop_prob](sim::ProcessId, sim::ProcessId) {
+                     return gen_.bernoulli(drop_prob);
+                   });
   }
 
  private:

@@ -11,6 +11,14 @@
 //   * never drop a self-delivery (a process trivially keeps its own state).
 // Illegal actions throw AdversaryViolation — experiments cannot silently
 // exceed the model's power.
+//
+// Because every omission sits on a corrupted process's link, bulk omission
+// has one primitive, AdversaryContext::drop_links(S, R, pred): a serial
+// walk, in ascending wire order, over just the messages sent by S or
+// addressed to R (MessagePlane::visit_links), usually with S and R the
+// corrupted set. silence() / silence_many() and every strategy's bulk drops
+// go through it, so the cost of an adversary phase scales with the
+// corrupted processes' links rather than with the whole wire.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +27,6 @@
 #include <vector>
 
 #include "support/check.h"
-#include "support/thread_pool.h"
 #include "sim/message.h"
 #include "sim/message_plane.h"
 
@@ -32,37 +39,41 @@ namespace referee {
 struct Backdoor;
 }  // namespace referee
 
-/// Corruption bookkeeping shared between runner and adversary context.
+/// Corruption bookkeeping shared between runner and adversary context. The
+/// corrupted set is a ProcessSet, so it serves both membership tests and
+/// the link walk's sorted member list.
 class FaultState {
  public:
   FaultState(std::uint32_t n, std::uint32_t budget)
-      : corrupted_(n, false), budget_(budget) {}
+      : corrupted_(n), budget_(budget) {}
 
-  bool is_corrupted(ProcessId p) const { return corrupted_[p]; }
-  std::uint32_t num_corrupted() const { return num_corrupted_; }
+  bool is_corrupted(ProcessId p) const { return corrupted_.contains(p); }
+  std::uint32_t num_corrupted() const {
+    return static_cast<std::uint32_t>(corrupted_.size());
+  }
   std::uint32_t budget() const { return budget_; }
-  std::uint32_t remaining_budget() const { return budget_ - num_corrupted_; }
+  std::uint32_t remaining_budget() const { return budget_ - num_corrupted(); }
+  /// The corrupted processes (byte mask + ascending ids).
+  const ProcessSet& corrupted() const { return corrupted_; }
 
   /// Corrupt p; returns false (no-op) if the budget is exhausted.
   /// Corrupting an already-corrupted process succeeds and costs nothing.
   bool corrupt(ProcessId p) {
-    OMX_REQUIRE(p < corrupted_.size(),
+    OMX_REQUIRE(p < corrupted_.universe(),
                 "corrupt: process " + std::to_string(p) +
-                    " out of range (n=" + std::to_string(corrupted_.size()) +
-                    ")");
-    if (corrupted_[p]) return true;
-    if (num_corrupted_ >= budget_) return false;
-    corrupted_[p] = true;
-    ++num_corrupted_;
+                    " out of range (n=" +
+                    std::to_string(corrupted_.universe()) + ")");
+    if (corrupted_.contains(p)) return true;
+    if (num_corrupted() >= budget_) return false;
+    corrupted_.insert(p);
     return true;
   }
 
  private:
   friend struct referee::Backdoor;
 
-  std::vector<bool> corrupted_;
+  ProcessSet corrupted_;
   std::uint32_t budget_;
-  std::uint32_t num_corrupted_ = 0;
 };
 
 /// Read-only iterable view over the plane's logical messages. Elements are
@@ -116,25 +127,18 @@ class MessageView {
 /// multicast looks like the equivalent sequence of unicasts (one logical
 /// index per recipient), so strategies are oblivious to the fast-path.
 ///
-/// The bulk operations (drop_where, scan_messages, silence, silence_many)
-/// shard the wire scan across the engine's thread pool when one was wired
-/// in — with results bit-identical to the serial scan: drop_where lanes own
-/// disjoint 64-aligned drop-bitset slices, and scan_messages concatenates
-/// per-lane candidate lists in lane (== ascending index) order before the
-/// serial consume pass. Predicates passed to them must be pure functions of
-/// (from, to) and adversary state — in particular they must not draw
-/// randomness (do that in scan_messages' consume step, which runs serially
-/// in ascending index order).
+/// Bulk omissions go through drop_links(), which runs serially in
+/// ascending index order: a predicate may draw randomness, one draw per
+/// candidate message, and consumes its stream in wire order.
 template <class P>
 class AdversaryContext {
  public:
   AdversaryContext(std::uint32_t round, MessagePlane<P>* plane,
-                   FaultState* faults,
-                   support::ThreadPool* pool = nullptr, unsigned lanes = 1)
-      : round_(round), plane_(plane), faults_(faults), pool_(pool),
-        lanes_(lanes) {}
+                   FaultState* faults)
+      : round_(round), plane_(plane), faults_(faults) {}
 
   std::uint32_t round() const { return round_; }
+  std::uint32_t num_processes() const { return plane_->num_processes(); }
 
   /// Number of logical messages produced in this round's computation phase.
   std::size_t num_messages() const { return plane_->num_messages(); }
@@ -163,6 +167,9 @@ class AdversaryContext {
 
   bool is_corrupted(ProcessId p) const { return faults_->is_corrupted(p); }
   std::uint32_t num_corrupted() const { return faults_->num_corrupted(); }
+  /// The corrupted set: pass it as drop_links' senders and/or receivers to
+  /// walk every link an omission may touch.
+  const ProcessSet& corrupted() const { return faults_->corrupted(); }
   std::uint32_t remaining_budget() const { return faults_->remaining_budget(); }
 
   /// Adaptively corrupt a process (online, within budget).
@@ -194,114 +201,55 @@ class AdversaryContext {
 
   bool dropped(std::size_t idx) const { return plane_->dropped(idx); }
 
-  /// Bulk omission: drop every non-self-delivery message whose endpoints
-  /// satisfy pred(from, to). Self-deliveries are skipped silently (no
-  /// strategy may touch them anyway); a matching message between two
-  /// non-corrupted processes throws AdversaryViolation, exactly like
-  /// drop(). Sharded across the pool when the wire is large enough; the
-  /// resulting drop bitset is identical to a serial scan's.
+  /// Bulk omission, the one primitive behind every strategy's bulk drops:
+  /// walk, in ascending index, the messages sent by a process in `senders`
+  /// or addressed to one in `receivers` (MessagePlane::visit_links), skip
+  /// self-deliveries, and drop each message for which pred(from, to)
+  /// returns true. A dropped message between two non-corrupted processes
+  /// throws AdversaryViolation, exactly like drop(). Messages outside the
+  /// walk are never offered to pred, so the sets must cover every link
+  /// pred may select (corrupted() for both always does). pred runs
+  /// serially in index order and may draw randomness; it must not corrupt
+  /// processes, since the walk may be reading the corrupted set.
   template <class Pred>
-  void drop_where(Pred&& pred) {
-    const std::size_t mm = plane_->num_messages();
-    auto scan = [&](std::uint64_t lo, std::uint64_t hi) {
-      plane_->visit_index_range(
-          lo, hi,
-          [&](std::uint64_t i, ProcessId from, ProcessId to) {
-            if (from == to || !pred(from, to)) return;
-            if (!faults_->is_corrupted(from) &&
-                !faults_->is_corrupted(to)) {
-              throw AdversaryViolation(
-                  "round " + std::to_string(round_) +
-                  ": cannot omit message " + std::to_string(from) + "->" +
-                  std::to_string(to) +
-                  " between two non-corrupted processes");
-            }
-            plane_->mark_dropped(static_cast<std::size_t>(i));
-          });
-    };
-    if (use_pool(mm)) {
-      pool_->run([&](unsigned w) {
-        const auto [lo, hi] = plane_->lane_index_range(w, lanes_);
-        scan(lo, hi);
-      });
-    } else {
-      scan(0, mm);
-    }
-  }
-
-  /// Sharded candidate scan for strategies that need per-message randomness:
-  /// lanes collect every message with pred(from, to) true, then consume(idx,
-  /// from, to) runs serially in ascending index order — so a strategy that
-  /// draws one coin per candidate consumes its rng stream in exactly the
-  /// serial scan's order, at every lane count.
-  template <class Pred, class Consume>
-  void scan_messages(Pred&& pred, Consume&& consume) {
-    const std::size_t mm = plane_->num_messages();
-    if (!use_pool(mm)) {
-      plane_->visit_index_range(
-          0, mm, [&](std::uint64_t i, ProcessId from, ProcessId to) {
-            if (pred(from, to)) {
-              consume(static_cast<std::size_t>(i), from, to);
-            }
-          });
-      return;
-    }
-    auto& hits = plane_->scan_scratch(lanes_);
-    pool_->run([&](unsigned w) {
-      const auto [lo, hi] = plane_->lane_index_range(w, lanes_);
-      auto& out = hits[w];
-      out.clear();
-      plane_->visit_index_range(
-          lo, hi, [&](std::uint64_t i, ProcessId from, ProcessId to) {
-            if (pred(from, to)) {
-              out.push_back(typename MessagePlane<P>::ScanHit{i, from, to});
-            }
-          });
-    });
-    for (unsigned w = 0; w < lanes_; ++w) {
-      for (const auto& h : hits[w]) {
-        consume(static_cast<std::size_t>(h.idx), h.from, h.to);
-      }
-    }
+  void drop_links(const ProcessSet& senders, const ProcessSet& receivers,
+                  Pred&& pred) {
+    plane_->visit_links(
+        senders, receivers,
+        [&](std::uint64_t i, ProcessId from, ProcessId to) {
+          if (from == to || !pred(from, to)) return;
+          if (!faults_->is_corrupted(from) && !faults_->is_corrupted(to)) {
+            throw AdversaryViolation(
+                "round " + std::to_string(round_) + ": cannot omit message " +
+                std::to_string(from) + "->" + std::to_string(to) +
+                " between two non-corrupted processes");
+          }
+          plane_->mark_dropped(static_cast<std::size_t>(i));
+        });
   }
 
   /// Convenience: drop every message from/to p (p must be corrupted).
   void silence(ProcessId p) {
-    drop_where([p](ProcessId from, ProcessId to) {
-      return from == p || to == p;
-    });
+    silence_many(std::span<const ProcessId>(&p, 1));
   }
 
-  /// Silence a batch of processes in one wire scan (the drop set is a
-  /// union, so one scan equals per-victim silence() calls — minus the
-  /// repeated O(messages) walks).
+  /// Silence a batch of processes in one link walk (the drop set is a
+  /// union, so one walk equals per-victim silence() calls). Ids outside
+  /// the system have no links and are ignored.
   void silence_many(std::span<const ProcessId> ps) {
     if (ps.empty()) return;
-    if (ps.size() == 1) {
-      silence(ps[0]);
-      return;
-    }
-    silence_mask_.assign(plane_->num_processes(), 0);
-    for (const ProcessId p : ps) silence_mask_[p] = 1;
-    drop_where([this](ProcessId from, ProcessId to) {
-      return silence_mask_[from] != 0 || silence_mask_[to] != 0;
-    });
+    victims_.reset(plane_->num_processes());
+    for (const ProcessId p : ps) victims_.insert(p);
+    drop_links(victims_, victims_, [](ProcessId, ProcessId) { return true; });
   }
 
  private:
   friend struct referee::Backdoor;
 
-  bool use_pool(std::size_t messages) const {
-    return pool_ != nullptr && lanes_ > 1 &&
-           messages >= MessagePlane<P>::kParallelGrain;
-  }
-
   std::uint32_t round_;
   MessagePlane<P>* plane_;
   FaultState* faults_;
-  support::ThreadPool* pool_;
-  unsigned lanes_;
-  std::vector<std::uint8_t> silence_mask_;
+  ProcessSet victims_;
 };
 
 /// Base adversary: observes each round and may intervene. Default: benign.

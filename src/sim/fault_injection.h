@@ -31,10 +31,7 @@ namespace omx::sim::referee {
 struct Backdoor {
   /// Corrupt p unconditionally, ignoring the budget t.
   static void force_corrupt(FaultState& faults, ProcessId p) {
-    if (p < faults.corrupted_.size() && !faults.corrupted_[p]) {
-      faults.corrupted_[p] = true;
-      ++faults.num_corrupted_;
-    }
+    faults.corrupted_.insert(p);  // mask and sorted ids; ids >= n refused
   }
 
   template <class P>

@@ -45,11 +45,17 @@
 // inbox buffer ever built. The own log's contents are swapped into a front
 // buffer so payloads stay readable while the next round's sends accumulate.
 //
-// The adversary phase gets sharded helpers too: visit_index_range() walks
-// any slice of the logical index space without the locate() cursor, and
-// lane_index_range() splits that space at 64-aligned cuts so lanes own
-// disjoint drop-bitset words — a parallel drop scan writes the same bitset
-// a serial scan would, bit for bit.
+// The adversary phase walks links, not the whole wire. An omission may only
+// touch a link of a corrupted process, and the corrupted set is small (at
+// most t of n), so visit_links(S, R) visits, in ascending logical index,
+// only the messages whose sender is in S or whose receiver is in R: a group
+// from a sender in S expands in full; a broadcast from any other sender
+// jumps straight to the ranks of R's members (ProcessSet keeps them as a
+// sorted id list next to its byte mask); a unicast costs one mask test and
+// a list one test per entry. for_each_dropped_link() walks the drop bitset
+// with a group cursor, handing the engine's legality audit each omitted
+// message's endpoints without a locate() per index. visit_index_range()
+// walks every message of an index range; tests use it as the reference.
 //
 // All buffers have round-persistent capacity: after warm-up, a round
 // allocates only whatever the payloads themselves allocate internally.
@@ -71,6 +77,55 @@
 #include "trace/trace.h"
 
 namespace omx::sim {
+
+/// A set of process ids held two ways: a byte mask over the n-process
+/// universe (one load per membership test) and the members in ascending id
+/// order (MessagePlane::visit_links jumps straight to their broadcast
+/// ranks). insert() keeps both in step and refuses ids outside the
+/// universe, so a stray id can never index past the mask. A default-
+/// constructed set is empty and fits any universe.
+class ProcessSet {
+ public:
+  ProcessSet() = default;
+  explicit ProcessSet(std::uint32_t n) : mask_(n, 0) {}
+
+  /// Empty the set and re-target it at an n-process universe (capacity
+  /// persists).
+  void reset(std::uint32_t n) {
+    if (mask_.size() == n) {
+      for (const ProcessId p : ids_) mask_[p] = 0;
+    } else {
+      mask_.assign(n, 0);
+    }
+    ids_.clear();
+  }
+
+  /// Add p. Returns false, changing nothing, when p is already a member
+  /// or lies outside the universe.
+  bool insert(ProcessId p) {
+    if (p >= mask_.size() || mask_[p] != 0) return false;
+    mask_[p] = 1;
+    ids_.insert(std::upper_bound(ids_.begin(), ids_.end(), p), p);
+    return true;
+  }
+
+  bool contains(ProcessId p) const {
+    return p < mask_.size() && mask_[p] != 0;
+  }
+  std::uint32_t universe() const {
+    return static_cast<std::uint32_t>(mask_.size());
+  }
+  std::size_t size() const { return ids_.size(); }
+  bool empty() const { return ids_.empty(); }
+  /// Members, ascending.
+  std::span<const ProcessId> ids() const { return ids_; }
+  /// Byte mask over the universe: mask()[p] != 0 iff p is a member.
+  const std::uint8_t* mask() const { return mask_.data(); }
+
+ private:
+  std::vector<std::uint8_t> mask_;
+  std::vector<ProcessId> ids_;
+};
 
 /// Word-packed omission flags (replaces the engine's old std::vector<bool>).
 class DropSet {
@@ -96,8 +151,7 @@ class DropSet {
     return c;
   }
 
-  /// Visit every set index in ascending order (word-at-a-time scan; used by
-  /// the engine's post-intervention legality audit).
+  /// Visit every set index in ascending order (word-at-a-time scan).
   template <class Fn>
   void for_each_set(Fn&& fn) const {
     for (std::size_t w = 0; w < words_.size(); ++w) {
@@ -281,17 +335,10 @@ class MessagePlane {
   /// Sentinel for multicast: no process is skipped.
   static constexpr ProcessId kNobody = SendLog<P>::kNobody;
 
-  /// Below this many messages (sealed ones for adversary scans, indexed
-  /// ones for delivery) the pool hand-off costs more than the parallel
-  /// passes save; both fall back to the (bit-identical) serial walks.
+  /// Below this many indexed messages the pool hand-off costs more than
+  /// delivery's parallel index passes save; it falls back to the
+  /// (bit-identical) serial build.
   static constexpr std::size_t kParallelGrain = 1024;
-
-  /// An attackable message surfaced by a sharded adversary scan.
-  struct ScanHit {
-    std::uint64_t idx;
-    ProcessId from;
-    ProcessId to;
-  };
 
   explicit MessagePlane(std::uint32_t n)
       : n_(n), log_(n), front_log_(n), offsets_(n + 1, 0) {
@@ -426,16 +473,86 @@ class MessagePlane {
   void mark_dropped(std::size_t i) { drops_.set(i); }
   bool dropped(std::size_t i) const { return drops_.test(i); }
 
-  /// Visit the index of every omitted message (engine legality audit).
+  /// Visit every omitted message in ascending logical index with its
+  /// endpoints: fn(idx, from, to). A group cursor advances through the
+  /// wire index alongside the drop bitset, so the walk costs O(groups +
+  /// drops) with no locate() per index (the engine's legality audit).
+  /// Indices past the sealed wire are not on it and are skipped. Valid
+  /// after seal().
   template <class Fn>
-  void for_each_dropped(Fn&& fn) const {
-    drops_.for_each_set(fn);
+  void for_each_dropped_link(Fn&& fn) const {
+    std::size_t g = 0;
+    std::uint64_t end = 0;  // one past group g's last index
+    drops_.for_each_set([&](std::size_t i) {
+      if (i >= sealed_) return;
+      while (end <= i) {
+        end = wire_[g].base + fanout(wire_[g]);
+        if (end <= i) ++g;
+      }
+      const WireGroup& w = wire_[g];
+      fn(i, w.from, receiver_of(w, i - w.base));
+    });
+  }
+
+  /// Visit, in ascending logical index, every message whose sender is in
+  /// `senders` or whose receiver is in `receivers`: fn(idx, from, to). A
+  /// group from a sender in `senders` expands in full; any other group
+  /// yields only its receivers in `receivers` — a broadcast by jumping to
+  /// their ranks through the sorted id list, a unicast by one mask test, a
+  /// list by one test per entry. So the walk costs O(groups + visits +
+  /// list entries), not O(messages): the adversary phase's only bulk walk
+  /// (AdversaryContext::drop_links). Each set must be empty or span this
+  /// plane's n processes. Valid after seal().
+  template <class Fn>
+  void visit_links(const ProcessSet& senders, const ProcessSet& receivers,
+                   Fn&& fn) const {
+    OMX_CHECK((senders.empty() || senders.universe() == n_) &&
+                  (receivers.empty() || receivers.universe() == n_),
+              "round " + std::to_string(round_) +
+                  ": link walk over a process set of another system (n=" +
+                  std::to_string(n_) + ")");
+    using Kind = typename SendLog<P>::Kind;
+    const std::uint8_t* const smask =
+        senders.empty() ? nullptr : senders.mask();
+    const std::uint8_t* const rmask =
+        receivers.empty() ? nullptr : receivers.mask();
+    if (smask == nullptr && rmask == nullptr) return;
+    const std::span<const ProcessId> rids = receivers.ids();
+    for (const WireGroup& g : wire_) {
+      const ProcessId from = g.from;
+      if (smask != nullptr && smask[from] != 0) {
+        const std::uint32_t fan = fanout(g);
+        for (std::uint32_t r = 0; r < fan; ++r) {
+          fn(g.base + r, from, receiver_of(g, r));
+        }
+        continue;
+      }
+      if (rmask == nullptr) continue;
+      switch (g.kind) {
+        case Kind::kUnicast:
+          if (rmask[g.a] != 0) fn(g.base, from, static_cast<ProcessId>(g.a));
+          break;
+        case Kind::kBroadcast:
+          for (const ProcessId q : rids) {
+            if (q != from) fn(g.base + q - (q > from ? 1 : 0), from, q);
+          }
+          break;
+        case Kind::kBroadcastSelf:
+          for (const ProcessId q : rids) fn(g.base + q, from, q);
+          break;
+        case Kind::kList:
+          for (std::uint32_t r = 0; r < g.b; ++r) {
+            if (rmask[g.recs[r]] != 0) fn(g.base + r, from, g.recs[r]);
+          }
+          break;
+      }
+    }
   }
 
   /// Visit every logical message with index in [lo, hi): fn(idx, from, to),
-  /// ascending. Walks the wire index directly (no locate() cursor), so
-  /// concurrent calls on disjoint ranges are safe — this is the substrate
-  /// of the sharded adversary drop scan. Valid after seal().
+  /// ascending. Walks the wire index directly (no locate() cursor); the
+  /// whole-wire reference the link walk is tested against. Valid after
+  /// seal().
   template <class Fn>
   void visit_index_range(std::uint64_t lo, std::uint64_t hi, Fn&& fn) const {
     if (lo >= hi) return;
@@ -453,27 +570,6 @@ class MessagePlane {
         fn(g.base + r, g.from, receiver_of(g, r));
       }
     }
-  }
-
-  /// Lane w's slice of the logical index space, cut at multiples of 64 so
-  /// every lane owns disjoint *words* of the drop bitset: lanes may
-  /// mark_dropped() concurrently within their own slice and the resulting
-  /// bitset is identical to a serial scan's.
-  std::pair<std::uint64_t, std::uint64_t> lane_index_range(
-      unsigned w, unsigned lanes) const {
-    const auto total = static_cast<std::uint64_t>(sealed_);
-    const auto cut = [&](unsigned k) -> std::uint64_t {
-      if (k >= lanes) return total;
-      return (total * k / lanes) & ~std::uint64_t{63};
-    };
-    return {cut(w), cut(w + 1)};
-  }
-
-  /// Per-lane candidate buffers for sharded adversary scans (capacity
-  /// persists across rounds, like every other plane buffer).
-  std::vector<std::vector<ScanHit>>& scan_scratch(unsigned lanes) {
-    if (scan_scratch_.size() < lanes) scan_scratch_.resize(lanes);
-    return scan_scratch_;
   }
 
   // --- delivery (communication phase) ---
@@ -699,10 +795,10 @@ class MessagePlane {
   }
 
   /// Wire-index group covering logical index i (valid after seal()).
-  /// Adversaries and the audit scan indices mostly in ascending order, so
-  /// a cursor makes the common case O(1); random access falls back to
-  /// binary search over group bases. The cursor is not thread-safe —
-  /// sharded scans use visit_index_range() instead.
+  /// Wiretaps read indices mostly in ascending order, so a cursor makes
+  /// the common case O(1); random access falls back to binary search over
+  /// group bases. The cursor is not thread-safe; the bulk walks above do
+  /// not use it.
   std::size_t locate(std::size_t i) const {
     const auto covers = [&](std::size_t g) {
       return i >= wire_[g].base && i - wire_[g].base < fanout(wire_[g]);
@@ -741,7 +837,6 @@ class MessagePlane {
   std::vector<Broadcast> broadcasts_;
 
   std::vector<std::size_t> counts_;  // index-build counts, then cursors
-  std::vector<std::vector<ScanHit>> scan_scratch_;
 };
 
 }  // namespace omx::sim

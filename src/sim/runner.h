@@ -36,10 +36,11 @@
 //     finite budget); budget-near rounds fall back to serial stepping, so
 //     budget-exhaustion points are exactly the serial ones.
 //
-// Phases 2 and 3 shard on the same pool: the adversary context carries the
-// pool for bulk drop scans (sim/adversary.h), and delivery's per-receiver
-// index build shards by receiver range (sim/message_plane.h) — all
-// bit-identical to the serial walks.
+// Phase 3 shards on the same pool: delivery's per-receiver index build
+// splits by receiver range (sim/message_plane.h), bit-identical to the
+// serial build. Phase 2 stays serial: its bulk omissions walk only the
+// corrupted processes' links (sim/adversary.h), and the audit walks only
+// the dropped messages, so neither scans the whole wire.
 //
 // The run ends when the machine reports finished() or max_rounds elapses
 // (the latter flagged in the result so tests can fail on non-termination).
@@ -277,17 +278,16 @@ class Runner {
       // defense-in-depth audit: AdversaryContext validates each action
       // eagerly, but an adversary holding a raw plane pointer (or the
       // referee's fault-injection backdoor) could bypass it, so the engine
-      // re-validates the round's net effect before delivering. The context
-      // carries the pool so bulk drop scans shard by index range.
+      // re-validates the round's net effect before delivering.
       if (stats) t0 = Clock::now();
-      AdversaryContext<P> ctx(round, &plane, &faults_, pool_.get(), lanes_);
+      AdversaryContext<P> ctx(round, &plane, &faults_);
       adversary_->intervene(ctx);
       audit_intervention(plane, round);
       if (tracer != nullptr) {
         // Processes newly corrupted by this intervention, in id order (the
         // canonical trace order; the live corruption order is not recorded).
-        for (ProcessId p = 0; p < n_; ++p) {
-          if (faults_.is_corrupted(p) && !corrupt_seen[p]) {
+        for (const ProcessId p : faults_.corrupted().ids()) {
+          if (!corrupt_seen[p]) {
             corrupt_seen[p] = 1;
             tracer->emit(trace::Event{round, trace::kCorrupt, 0, p,
                                       faults_.num_corrupted(), 0});
@@ -347,9 +347,8 @@ class Runner {
           " corrupted processes > t=" + std::to_string(faults_.budget()) +
           ")");
     }
-    plane.for_each_dropped([&](std::size_t i) {
-      const ProcessId from = plane.from(i);
-      const ProcessId to = plane.to(i);
+    plane.for_each_dropped_link([&](std::size_t, ProcessId from,
+                                    ProcessId to) {
       if (from == to) {
         throw AdversaryViolation(
             "round " + std::to_string(round) +

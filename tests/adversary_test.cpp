@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "adversary/schedule.h"
 #include "adversary/strategies.h"
 #include "rng/ledger.h"
 #include "sim/runner.h"
@@ -219,6 +220,50 @@ TEST(Legality, DropIndexOutOfRangeIsAPrecondition) {
   sim::FaultState faults(4, 2);
   sim::AdversaryContext<Bit> ctx(0, &plane, &faults);
   EXPECT_THROW(ctx.drop(0), PreconditionError);  // empty wire
+}
+
+TEST(Legality, SilenceOfAnUncorruptedProcessNamesTheLowestIllegalMessage) {
+  sim::MessagePlane<Bit> plane(4);
+  plane.begin_round(2);
+  plane.log().send(0, 1, Bit{1});                      // #0
+  plane.log().broadcast(1, Bit{1}, false);             // #1..3: 1->0,2,3
+  plane.log().send(2, 2, Bit{1});                      // #4: self
+  const std::vector<ProcessId> list{2, 1};
+  plane.log().multicast(3, list, Bit{1});              // #5..6: 3->2,1
+  plane.log().send(2, 0, Bit{1});                      // #7
+  plane.seal();
+  sim::FaultState faults(4, 2);
+  faults.corrupt(1);
+  sim::AdversaryContext<Bit> ctx(2, &plane, &faults);
+  // 1->2 is legal (1 is corrupted) and the self-delivery is skipped; 3->2
+  // is the first of process 2's links with no corrupted endpoint.
+  try {
+    ctx.silence(2);
+    FAIL() << "silencing an uncorrupted process was accepted";
+  } catch (const AdversaryViolation& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "round 2: cannot omit message 3->2 between two non-corrupted "
+              "processes");
+  }
+}
+
+// Ops naming a process outside the system have no links: a drop op from
+// such a sender and a silence op of one drop nothing and throw nothing.
+TEST(ScheduleReplay, OpsOnProcessesOutsideTheSystemAreNoOps) {
+  Schedule schedule;
+  std::string err;
+  ASSERT_TRUE(Schedule::parse("c0.1,d0.500.1,d0.1.2,d0.4294967295.3,s1.700,"
+                              "s1.1",
+                              &schedule, &err))
+      << err;
+  ScheduleAdversary<Bit> adv(schedule);
+  rng::Ledger ledger(8, 1);
+  sim::Runner<Bit> runner(8, 1, &ledger, &adv);
+  BroadcastMachine m(8, 2);
+  const auto rr = runner.run(m);
+  EXPECT_EQ(rr.metrics.corrupted, 1u);
+  // Round 0 drops 1->2 only; round 1 silences process 1 (7 + 7 links).
+  EXPECT_EQ(rr.metrics.omitted, 1u + 14u);
 }
 
 TEST(Legality, CorruptBeyondBudgetIsRefusedNotSilentlyClamped) {

@@ -142,6 +142,50 @@ TEST(Firewall, LegalOmissionsPassTheAudit) {
   }
 }
 
+// Several illegal drops, made through the backdoor in descending index
+// order: the audit walks omissions in ascending index order, so it reports
+// the lowest-index one.
+class ManyIllegalDropsAdversary final : public Adversary<Bit> {
+ public:
+  explicit ManyIllegalDropsAdversary(bool self_first)
+      : self_first_(self_first) {}
+  void intervene(AdversaryContext<Bit>& ctx) override {
+    MessagePlane<Bit>* plane = referee::Backdoor::plane(ctx);
+    // SelfBroadcastMachine: p's message to q is logical index p*n + q.
+    const std::uint32_t n = plane->num_processes();
+    plane->mark_dropped(5 * n + 5);  // self-delivery of 5
+    plane->mark_dropped(4 * n + 6);  // 4->6
+    plane->mark_dropped(3 * n + 7);  // 3->7
+    if (self_first_) plane->mark_dropped(2 * n + 2);  // self-delivery of 2
+  }
+
+ private:
+  bool self_first_;
+};
+
+TEST(Firewall, AuditReportsTheLowestIndexViolation) {
+  for (const unsigned threads : {1u, 8u}) {
+    for (const bool self_first : {false, true}) {
+      const std::uint32_t n = 8;
+      rng::Ledger ledger(n, 1);
+      ManyIllegalDropsAdversary adv(self_first);
+      Runner<Bit> runner(n, 2, &ledger, &adv, with_threads(threads));
+      SelfBroadcastMachine m(n, 3);
+      try {
+        runner.run(m);
+        FAIL() << "illegal drops went undetected at threads=" << threads;
+      } catch (const AdversaryViolation& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  self_first
+                      ? "round 0: omitted the self-delivery of process 2"
+                      : "round 0: omitted message 3->7 between two "
+                        "non-corrupted processes")
+            << "threads=" << threads;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // rng ledger overdraft: protocol code that ignores can_draw() must surface
 // BudgetExhausted at the exact same draw regardless of thread count

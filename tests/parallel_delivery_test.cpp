@@ -1,13 +1,17 @@
-// The parallel delivery substrate (sim/message_plane.h) and the bulk
-// adversary scan APIs (sim/adversary.h): segment stitching reproduces the
-// serial wire exactly, every receiver's delivered sequence equals the
+// The message plane's stitched wire (sim/message_plane.h) and the
+// adversary's bulk omission (sim/adversary.h): segment stitching reproduces
+// the serial wire exactly, every receiver's delivered sequence equals the
 // wire's surviving logical messages addressed to it (serial and
-// pool-sharded index builds, mixed and all-multicast wires),
-// drop_where/scan_messages match the serial scans (including rng draw
-// order), and the thread pool's per-lane busy counters actually tick.
+// pool-sharded index builds, mixed and all-multicast wires), the link walk
+// and the dropped-link walk equal brute-force filters over the whole wire,
+// drop_links offers its predicate exactly the walk's candidates in
+// ascending index order, and the thread pool's per-lane busy counters
+// actually tick.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
+#include <random>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -60,19 +64,128 @@ void build_serial(MessagePlane<Pay>& plane, std::uint32_t round = 0) {
   plane.seal();
 }
 
+using QueueFn = void (*)(SendLog<Pay>&, std::uint32_t, std::uint32_t);
+
 // The same wire staged across `kLanes` shard arenas and stitched.
 void build_stitched(MessagePlane<Pay>& plane, std::vector<SendLog<Pay>>& stage,
-                    std::uint32_t round = 0) {
+                    std::uint32_t round = 0, QueueFn queue = queue_sends) {
   plane.begin_round(round);
   stage.assign(kLanes, SendLog<Pay>(kN));
   std::vector<SendLog<Pay>*> ptrs;
   for (unsigned w = 0; w < kLanes; ++w) {
     stage[w].set_round(round);
-    queue_sends(stage[w], kN * w / kLanes, kN * (w + 1) / kLanes);
+    queue(stage[w], kN * w / kLanes, kN * (w + 1) / kLanes);
     ptrs.push_back(&stage[w]);
   }
   plane.stitch(ptrs);
   plane.seal();
+}
+
+// Every group shape the link walk handles, per process: a unicast
+// (every 5th addressed to the sender itself), a kBroadcast (odd senders) or
+// kBroadcastSelf (even senders), and a kList of kListLen receivers (every
+// 3rd list names its own sender first).
+constexpr std::uint32_t kListLen = 6;
+
+void queue_every_shape(SendLog<Pay>& log, std::uint32_t lo,
+                       std::uint32_t hi) {
+  for (std::uint32_t p = lo; p < hi; ++p) {
+    log.send(p, p % 5 == 0 ? p : (p * 7 + 3) % kN, Pay{p});
+    log.broadcast(p, Pay{p + 1}, /*include_self=*/p % 2 == 0);
+    std::vector<ProcessId> list;
+    for (std::uint32_t d = 0; d < kListLen; ++d) {
+      list.push_back((p + 5 * d + (p % 3 == 0 ? 0 : 1)) % kN);
+    }
+    log.multicast(p, list, Pay{p + 2});
+  }
+}
+
+// First logical index of every group queue_every_shape() produces.
+std::vector<std::size_t> group_starts_every_shape() {
+  std::vector<std::size_t> starts;
+  std::size_t base = 0;
+  for (std::uint32_t p = 0; p < kN; ++p) {
+    const std::size_t bcast = p % 2 == 0 ? kN : kN - 1;
+    starts.push_back(base);
+    starts.push_back(base + 1);
+    starts.push_back(base + 1 + bcast);
+    base += 1 + bcast + kListLen;
+  }
+  return starts;
+}
+
+using Link = std::tuple<std::uint64_t, ProcessId, ProcessId>;
+
+ProcessSet set_of(std::initializer_list<ProcessId> ids) {
+  ProcessSet s(kN);
+  for (const ProcessId p : ids) s.insert(p);
+  return s;
+}
+
+ProcessSet random_set(std::mt19937& gen, double density) {
+  ProcessSet s(kN);
+  std::bernoulli_distribution coin(density);
+  for (ProcessId p = 0; p < kN; ++p) {
+    if (coin(gen)) s.insert(p);
+  }
+  return s;
+}
+
+ProcessSet full_set() {
+  ProcessSet s(kN);
+  for (ProcessId p = 0; p < kN; ++p) s.insert(p);
+  return s;
+}
+
+// The brute-force reference: every message on the wire, filtered.
+std::vector<Link> links_by_filter(const MessagePlane<Pay>& plane,
+                                  const ProcessSet& senders,
+                                  const ProcessSet& receivers) {
+  std::vector<Link> out;
+  plane.visit_index_range(
+      0, plane.num_messages(),
+      [&](std::uint64_t i, ProcessId from, ProcessId to) {
+        if (senders.contains(from) || receivers.contains(to)) {
+          out.emplace_back(i, from, to);
+        }
+      });
+  return out;
+}
+
+std::vector<Link> links_by_walk(const MessagePlane<Pay>& plane,
+                                const ProcessSet& senders,
+                                const ProcessSet& receivers) {
+  std::vector<Link> out;
+  plane.visit_links(senders, receivers,
+                    [&](std::uint64_t i, ProcessId from, ProcessId to) {
+                      out.emplace_back(i, from, to);
+                    });
+  return out;
+}
+
+// (senders, receivers) pairs: empty, single, random and full sets, mostly
+// with S != R.
+std::vector<std::pair<ProcessSet, ProcessSet>> link_walk_cases() {
+  std::mt19937 gen(20240507);
+  std::vector<std::pair<ProcessSet, ProcessSet>> cases;
+  cases.emplace_back(ProcessSet{}, ProcessSet{});
+  cases.emplace_back(ProcessSet(kN), ProcessSet(kN));
+  cases.emplace_back(set_of({0}), ProcessSet{});
+  cases.emplace_back(ProcessSet{}, set_of({0}));
+  cases.emplace_back(set_of({kN - 1}), set_of({0}));
+  cases.emplace_back(set_of({5}), set_of({5}));
+  cases.emplace_back(set_of({3, 9, 30}), set_of({2, 9, 33, kN - 1}));
+  for (int k = 0; k < 6; ++k) {
+    const double density = 0.03 + 0.15 * k;
+    cases.emplace_back(random_set(gen, density), random_set(gen, density));
+    cases.emplace_back(random_set(gen, density), ProcessSet{});
+    cases.emplace_back(ProcessSet{}, random_set(gen, density));
+  }
+  cases.emplace_back(full_set(), ProcessSet{});
+  cases.emplace_back(ProcessSet{}, full_set());
+  cases.emplace_back(full_set(), full_set());
+  cases.emplace_back(full_set(), set_of({7}));
+  return cases;
 }
 
 TEST(Stitch, ReproducesSerialWireExactly) {
@@ -158,80 +271,193 @@ TEST(ParallelDelivery, InboxesAndMetricsMatchSerial) {
   }
 }
 
-TEST(BulkAdversary, DropWhereMatchesSerialBitset) {
+TEST(LinkWalk, VisitLinksEqualsTheWholeWireFilter) {
+  MessagePlane<Pay> plane(kN);
+  std::vector<SendLog<Pay>> stage;
+  build_stitched(plane, stage, 0, queue_every_shape);
+  for (const auto& [senders, receivers] : link_walk_cases()) {
+    const auto want = links_by_filter(plane, senders, receivers);
+    EXPECT_EQ(links_by_walk(plane, senders, receivers), want)
+        << "|S|=" << senders.size() << " |R|=" << receivers.size();
+  }
+  // The full sender set visits the whole wire.
+  EXPECT_EQ(links_by_walk(plane, full_set(), ProcessSet{}).size(),
+            plane.num_messages());
+}
+
+TEST(LinkWalk, VisitLinksRefusesASetOfAnotherSystem) {
+  MessagePlane<Pay> plane(kN);
+  build_serial(plane);
+  ProcessSet other(kN + 1);
+  other.insert(0);
+  EXPECT_THROW(plane.visit_links(other, ProcessSet{},
+                                 [](std::uint64_t, ProcessId, ProcessId) {}),
+               InvariantError);
+}
+
+TEST(LinkWalk, ProcessSetKeepsMaskAndSortedIdsInStep) {
+  ProcessSet s(8);
+  EXPECT_TRUE(s.insert(5));
+  EXPECT_TRUE(s.insert(1));
+  EXPECT_TRUE(s.insert(7));
+  EXPECT_FALSE(s.insert(5));   // already a member
+  EXPECT_FALSE(s.insert(8));   // outside the universe
+  EXPECT_FALSE(s.contains(8));
+  EXPECT_EQ(std::vector<ProcessId>(s.ids().begin(), s.ids().end()),
+            (std::vector<ProcessId>{1, 5, 7}));
+  for (ProcessId p = 0; p < 8; ++p) {
+    EXPECT_EQ(s.contains(p), s.mask()[p] != 0) << p;
+  }
+  s.reset(8);
+  EXPECT_TRUE(s.empty());
+  for (ProcessId p = 0; p < 8; ++p) EXPECT_FALSE(s.contains(p)) << p;
+}
+
+TEST(LinkWalk, DroppedLinkWalkMatchesIndexedEndpoints) {
+  MessagePlane<Pay> plane(kN);
+  std::vector<SendLog<Pay>> stage;
+  build_stitched(plane, stage, 0, queue_every_shape);
+  const std::size_t mm = plane.num_messages();
+  // Both sides of every group boundary, plus both ends of the wire.
+  for (const std::size_t b : group_starts_every_shape()) {
+    ASSERT_LT(b, mm);
+    plane.mark_dropped(b);
+    if (b > 0) plane.mark_dropped(b - 1);
+  }
+  plane.mark_dropped(mm - 1);
+  std::vector<Link> want;
+  for (std::size_t i = 0; i < mm; ++i) {
+    if (plane.dropped(i)) want.emplace_back(i, plane.from(i), plane.to(i));
+  }
+  std::vector<Link> got;
+  plane.for_each_dropped_link(
+      [&](std::size_t i, ProcessId from, ProcessId to) {
+        got.emplace_back(i, from, to);
+      });
+  EXPECT_GT(got.size(), 3 * kN);
+  EXPECT_EQ(got, want);
+}
+
+TEST(LinkWalk, DroppedLinkWalkCoversAFullyDroppedWire) {
+  MessagePlane<Pay> plane(kN);
+  std::vector<SendLog<Pay>> stage;
+  build_stitched(plane, stage, 0, queue_every_shape);
+  std::vector<Link> want;
+  for (std::size_t i = 0; i < plane.num_messages(); ++i) {
+    plane.mark_dropped(i);
+    want.emplace_back(i, plane.from(i), plane.to(i));
+  }
+  std::vector<Link> got;
+  plane.for_each_dropped_link(
+      [&](std::size_t i, ProcessId from, ProcessId to) {
+        got.emplace_back(i, from, to);
+      });
+  EXPECT_EQ(got, want);
+}
+
+// drop_links with corrupted endpoints on a serial and a stitched wire drops
+// exactly what a whole-wire filter with the same predicate selects.
+TEST(BulkAdversary, DropLinksMatchesWholeWireBitset) {
   const std::uint32_t kT = 8;
-  auto run = [&](support::ThreadPool* pool, unsigned lanes,
-                 MessagePlane<Pay>& plane) {
+  const auto pred = [](ProcessId from, ProcessId to) {
+    return (from < 4 || to < 4) && (from + to) % 3 != 0;
+  };
+  auto run = [&](MessagePlane<Pay>& plane) {
     FaultState faults(kN, kT);
     for (ProcessId p = 0; p < 4; ++p) faults.corrupt(p);
-    AdversaryContext<Pay> ctx(0, &plane, &faults, pool, lanes);
-    ctx.drop_where([](ProcessId from, ProcessId to) {
-      return from < 4 || to < 4;
-    });
+    AdversaryContext<Pay> ctx(0, &plane, &faults);
+    ctx.drop_links(ctx.corrupted(), ctx.corrupted(), pred);
   };
 
   MessagePlane<Pay> serial(kN);
   build_serial(serial);
-  run(nullptr, 1, serial);
-
-  support::ThreadPool pool(kLanes);
-  MessagePlane<Pay> par(kN);
+  run(serial);
+  MessagePlane<Pay> stitched(kN);
   std::vector<SendLog<Pay>> stage;
-  build_stitched(par, stage);
-  run(&pool, kLanes, par);
+  build_stitched(stitched, stage);
+  run(stitched);
 
-  ASSERT_EQ(par.num_messages(), serial.num_messages());
-  EXPECT_GT(serial.num_dropped(), 0u);
-  EXPECT_EQ(par.num_dropped(), serial.num_dropped());
-  for (std::size_t i = 0; i < serial.num_messages(); ++i) {
-    ASSERT_EQ(par.dropped(i), serial.dropped(i)) << "index " << i;
-  }
+  ASSERT_EQ(stitched.num_messages(), serial.num_messages());
+  std::size_t want = 0;
+  serial.visit_index_range(
+      0, serial.num_messages(),
+      [&](std::uint64_t i, ProcessId from, ProcessId to) {
+        const bool drop = from != to && pred(from, to);
+        want += drop ? 1 : 0;
+        ASSERT_EQ(serial.dropped(i), drop) << "index " << i;
+        ASSERT_EQ(stitched.dropped(i), drop) << "index " << i;
+      });
+  EXPECT_GT(want, 0u);
+  EXPECT_EQ(serial.num_dropped(), want);
+  EXPECT_EQ(stitched.num_dropped(), want);
 }
 
-TEST(BulkAdversary, DropWhereRejectsIllegalMatchInParallel) {
-  support::ThreadPool pool(kLanes);
+// A predicate that selects a link between two non-corrupted processes is
+// refused, naming the lowest-index such message.
+TEST(BulkAdversary, DropLinksRejectsIllegalMatch) {
   MessagePlane<Pay> plane(kN);
   std::vector<SendLog<Pay>> stage;
   build_stitched(plane, stage);
   FaultState faults(kN, 2);
   faults.corrupt(0);
-  AdversaryContext<Pay> ctx(0, &plane, &faults, &pool, kLanes);
-  // Matches messages between non-corrupted endpoints: the legality firewall
-  // must throw from the sharded scan exactly as it does serially.
-  EXPECT_THROW(ctx.drop_where([](ProcessId from, ProcessId to) {
-                 return from >= 10 && to >= 10;
-               }),
-               AdversaryViolation);
+  ProcessSet senders(kN);
+  for (ProcessId p = 10; p < kN; ++p) senders.insert(p);
+  std::string want;
+  plane.visit_index_range(
+      0, plane.num_messages(),
+      [&](std::uint64_t, ProcessId from, ProcessId to) {
+        if (want.empty() && from >= 10 && to >= 10 && from != to) {
+          want = std::to_string(from) + "->" + std::to_string(to) + " ";
+        }
+      });
+  ASSERT_FALSE(want.empty());
+  AdversaryContext<Pay> ctx(0, &plane, &faults);
+  try {
+    ctx.drop_links(senders, ProcessSet{}, [](ProcessId from, ProcessId to) {
+      return from >= 10 && to >= 10;
+    });
+    FAIL() << "an honest-honest drop was accepted";
+  } catch (const AdversaryViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("message " + want),
+              std::string::npos)
+        << e.what() << " (want " << want << ")";
+  }
 }
 
-TEST(BulkAdversary, ScanMessagesConsumesInAscendingIndexOrder) {
-  auto collect = [&](support::ThreadPool* pool, unsigned lanes,
-                     MessagePlane<Pay>& plane) {
-    FaultState faults(kN, 1);
-    AdversaryContext<Pay> ctx(0, &plane, &faults, pool, lanes);
-    std::vector<std::tuple<std::size_t, ProcessId, ProcessId>> hits;
-    ctx.scan_messages(
-        [](ProcessId from, ProcessId to) { return (from + to) % 7 == 0; },
-        [&](std::size_t idx, ProcessId from, ProcessId to) {
-          hits.emplace_back(idx, from, to);
-        });
-    return hits;
-  };
-
-  MessagePlane<Pay> serial(kN);
-  build_serial(serial);
-  const auto ref = collect(nullptr, 1, serial);
-  ASSERT_FALSE(ref.empty());
-
-  support::ThreadPool pool(kLanes);
-  MessagePlane<Pay> par(kN);
+// pred is offered exactly the walk's non-self candidates, in ascending
+// index order — the order a strategy's per-candidate coin draws follow.
+TEST(BulkAdversary, DropLinksOffersCandidatesInAscendingIndexOrder) {
+  MessagePlane<Pay> plane(kN);
   std::vector<SendLog<Pay>> stage;
-  build_stitched(par, stage);
-  const auto got = collect(&pool, kLanes, par);
-
-  EXPECT_EQ(got, ref);
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LT(std::get<0>(got[i - 1]), std::get<0>(got[i]));
+  for (const auto& [senders, receivers] : link_walk_cases()) {
+    build_stitched(plane, stage, 0, queue_every_shape);  // fresh drop set
+    // Corrupt every process in either set, so every candidate is a legal
+    // drop and pred's answer alone decides.
+    FaultState faults(kN, kN);
+    for (const ProcessId p : senders.ids()) faults.corrupt(p);
+    for (const ProcessId p : receivers.ids()) faults.corrupt(p);
+    std::vector<std::pair<ProcessId, ProcessId>> want_calls;
+    std::vector<std::uint64_t> want_drops;
+    for (const auto& [i, from, to] :
+         links_by_filter(plane, senders, receivers)) {
+      if (from == to) continue;
+      want_calls.emplace_back(from, to);
+      if (want_calls.size() % 3 != 0) want_drops.push_back(i);
+    }
+    AdversaryContext<Pay> ctx(0, &plane, &faults);
+    std::vector<std::pair<ProcessId, ProcessId>> calls;
+    ctx.drop_links(senders, receivers, [&](ProcessId from, ProcessId to) {
+      calls.emplace_back(from, to);
+      return calls.size() % 3 != 0;
+    });
+    EXPECT_EQ(calls, want_calls)
+        << "|S|=" << senders.size() << " |R|=" << receivers.size();
+    std::vector<std::uint64_t> drops;
+    for (std::size_t i = 0; i < plane.num_messages(); ++i) {
+      if (plane.dropped(i)) drops.push_back(i);
+    }
+    EXPECT_EQ(drops, want_drops)
+        << "|S|=" << senders.size() << " |R|=" << receivers.size();
   }
 }
 
