@@ -52,7 +52,7 @@ class Wiretap final : public sim::Adversary<core::Msg> {
               return "spread";
             else if constexpr (std::is_same_v<T, core::DecisionMsg>)
               return "decision";
-            else if constexpr (std::is_same_v<T, core::FloodMsg>)
+            else if constexpr (std::is_same_v<T, core::PackedFloodMsg>)
               return "flood";
             else return "gossip";
           },

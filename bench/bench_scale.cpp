@@ -1,11 +1,12 @@
-// Large-n acceptance driver for the packed representations: proves the
-// scale targets of DESIGN.md §8 actually hold on the machine at hand and
-// exits nonzero when they do not, so CI can gate on it.
+// Large-n acceptance probes for the flood and gossip state (word-packed
+// views, run-length-coded id sets): proves the scale targets of DESIGN.md
+// §8 actually hold on the machine at hand and exits nonzero when they do
+// not, so CI can gate on it.
 //
 //   bench_scale [out.json] [--flood-n N] [--gossip-n N] [--flood-budget-s S]
 //
 // Two probes:
-//   * flood  — FloodSet with packed views at n = 16384 (default).
+//   * flood  — FloodSet at n = 16384 (default).
 //     Receivers read the delivered wire in place: the O(n^2) pair work per
 //     round becomes word-wide ORs against double-buffered send logs.
 //     Budget: --flood-budget-s wall-clock seconds (default 10; the
@@ -86,10 +87,9 @@ int run_scale(int argc, char** argv) {
     cfg.inputs = omx::harness::InputPattern::Random;
     cfg.seed = 1;
     cfg.threads = 1;
-    cfg.packed = true;
     omx::sim::EngineStats stats;
     cfg.engine_stats = &stats;
-    std::printf("flood: packed floodset n=%u t=%u (budget %.0fs)\n",
+    std::printf("flood: floodset n=%u t=%u (budget %.0fs)\n",
                 flood_n, cfg.t, flood_budget_s);
     std::fflush(stdout);
     omx::harness::Sweep sweep;
@@ -129,13 +129,12 @@ int run_scale(int argc, char** argv) {
 
   // --- gossip probe ------------------------------------------------------
   if (gossip_n > 0) {
-    std::printf("gossip: packed doubling-gossip n=%u window=%u\n", gossip_n,
+    std::printf("gossip: doubling-gossip n=%u window=%u\n", gossip_n,
                 gossip_window);
     std::fflush(stdout);
     omx::baselines::DoublingConfig cfg;
     cfg.t = 0;
     cfg.initial_contacts = gossip_window;
-    cfg.packed = true;
     const auto inputs =
         omx::harness::make_inputs(omx::harness::InputPattern::Random,
                                   gossip_n, 7);

@@ -11,8 +11,7 @@ BenOrMachine::BenOrMachine(BenOrConfig config,
                            std::vector<std::uint8_t> inputs)
     : cfg_(config),
       n_(static_cast<std::uint32_t>(inputs.size())),
-      fallback_(static_cast<std::uint32_t>(inputs.size()), config.t,
-                config.packed) {
+      fallback_(static_cast<std::uint32_t>(inputs.size()), config.t) {
   OMX_REQUIRE(n_ >= 1, "need at least one process");
   st_.resize(n_);
   for (std::uint32_t p = 0; p < n_; ++p) {

@@ -32,8 +32,6 @@ struct BenOrConfig {
   std::uint32_t t = 0;
   /// Voting rounds before falling back (0 = auto: 4·(t/√n + 1)·ceil(log2 n)).
   std::uint32_t round_cap = 0;
-  /// Word-packed fallback-tail representation (bit-identical, faster).
-  bool packed = false;
 };
 
 class BenOrMachine final : public sim::Machine<core::Msg>,

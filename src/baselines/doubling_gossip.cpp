@@ -7,8 +7,6 @@
 
 namespace omx::baselines {
 
-using core::FloodMsg;
-using core::FloodPair;
 using core::InquireMsg;
 using core::Msg;
 using core::RunMsg;
@@ -20,7 +18,6 @@ DoublingGossipMachine::DoublingGossipMachine(DoublingConfig config,
                                              std::vector<std::uint8_t> inputs)
     : n_(static_cast<std::uint32_t>(inputs.size())),
       t_(config.t),
-      packed_(config.packed),
       inputs_(std::move(inputs)) {
   OMX_REQUIRE(n_ >= 2, "gossip needs at least two processes");
   const std::uint32_t logn = std::max<std::uint32_t>(1, ceil_log2(n_));
@@ -43,47 +40,27 @@ DoublingGossipMachine::DoublingGossipMachine(DoublingConfig config,
   max_exchanges_ = config.max_exchanges ? config.max_exchanges
                                         : 4 * logn + 16;
   st_.resize(n_);
-  if (packed_) {
-    prefix_ones_.resize(n_ + 1);
-    prefix_ones_[0] = 0;
-    for (std::uint32_t id = 0; id < n_; ++id) {
-      prefix_ones_[id + 1] = prefix_ones_[id] + (inputs_[id] != 0 ? 1 : 0);
-    }
+  prefix_ones_.resize(n_ + 1);
+  prefix_ones_[0] = 0;
+  for (std::uint32_t id = 0; id < n_; ++id) {
+    prefix_ones_[id + 1] = prefix_ones_[id] + (inputs_[id] != 0 ? 1 : 0);
   }
   // The seed is the same for every process in the rotated frame ({0}),
   // so one RunSet serves all n — the representation's whole point.
-  const RunSetPtr seed = packed_ ? RunSet::single(0) : nullptr;
+  const RunSetPtr seed = RunSet::single(0);
   for (std::uint32_t p = 0; p < n_; ++p) {
     auto& s = st_[p];
     s.contacts = std::min(init, n_ - 1);
-    if (packed_) {
-      s.know_set = seed;
-    } else {
-      s.known.assign(n_, -1);
-      s.sent.assign(static_cast<std::size_t>(n_) * n_, 0);
-      s.known[p] = static_cast<std::int8_t>(inputs_[p]);
-    }
+    s.know_set = seed;
     s.known_count = 1;
-  }
-}
-
-void DoublingGossipMachine::learn(PState& s, std::uint32_t id,
-                                  std::uint8_t value) {
-  OMX_CHECK(id < n_, "pair id out of range");
-  if (s.known[id] < 0) {
-    s.known[id] = static_cast<std::int8_t>(value);
-    ++s.known_count;
-    s.stable = false;
   }
 }
 
 void DoublingGossipMachine::begin_round(std::uint32_t round) {
   cur_round_ = round;
   rounds_seen_ = round + 1;
-  if (packed_) {
-    union_memo_.clear();
-    diff_memo_.clear();
-  }
+  union_memo_.clear();
+  diff_memo_.clear();
 }
 
 RunSetPtr DoublingGossipMachine::memo_union(
@@ -96,7 +73,6 @@ RunSetPtr DoublingGossipMachine::memo_union(
   auto it = union_memo_.find(key);
   if (it != union_memo_.end()) return it->second;
   RunSetPtr result = support::union_shifted(*base, ops, n_);
-  peak_runs_ = std::max(peak_runs_, result->runs().size());
   union_memo_.emplace(std::move(key), result);
   return result;
 }
@@ -119,74 +95,6 @@ void DoublingGossipMachine::round(sim::ProcessId p,
     return;  // a crashed machine halts; an omission-faulty one keeps going
   }
   auto& s = st_[p];
-  if (packed_) {
-    round_packed(p, s, io);
-  } else {
-    round_legacy(p, s, io);
-  }
-}
-
-void DoublingGossipMachine::round_legacy(sim::ProcessId p, PState& s,
-                                         sim::RoundIo<core::Msg>& io) {
-  const bool inquire_round = (cur_round_ % 2) == 0;
-
-  if (inquire_round) {
-    // --- consume last exchange's responses; double if starved ---
-    if (cur_round_ > 0 && !s.completed) {
-      std::uint32_t responses = 0;
-      io.for_each_in([&](sim::ProcessId, const Msg& payload) {
-        if (const auto* fm = std::get_if<FloodMsg>(&payload)) {
-          ++responses;
-          for (const FloodPair& pair : fm->pairs) {
-            learn(s, pair.id, pair.value);
-          }
-        }
-      });
-      if (2 * responses < s.contacts && s.contacts < n_ - 1) {
-        s.contacts = std::min(n_ - 1, 2 * s.contacts);
-        ++s.doublings;
-      }
-      // Completion: enough coverage and nothing new this exchange.
-      if (s.known_count + t_ >= n_ && s.stable) {
-        s.completed = true;
-      }
-      s.stable = true;  // reset; any new pair before the next check clears
-    }
-    // --- produce inquiries (finger-first contact window) ---
-    if (!s.completed) {
-      auto& targets = scratch_targets_[io.lane()];
-      targets.clear();
-      for (std::uint32_t k = 0; k < s.contacts; ++k) {
-        targets.push_back((p + offsets_[k]) % n_);
-      }
-      io.send_to(targets, InquireMsg{});
-    }
-    return;
-  }
-
-  // --- respond round: answer every inquirer with unsent pairs ---
-  s.inquirers.clear();
-  io.for_each_in([&](sim::ProcessId from, const Msg& payload) {
-    if (std::get_if<InquireMsg>(&payload) != nullptr) {
-      s.inquirers.push_back(from);
-    }
-  });
-  for (sim::ProcessId q : s.inquirers) {
-    FloodMsg reply;
-    std::uint8_t* sent = &s.sent[static_cast<std::size_t>(q) * n_];
-    for (std::uint32_t id = 0; id < n_; ++id) {
-      if (s.known[id] >= 0 && !sent[id]) {
-        sent[id] = 1;
-        reply.pairs.push_back(
-            FloodPair{id, static_cast<std::uint8_t>(s.known[id])});
-      }
-    }
-    io.send(q, std::move(reply));  // empty reply = sign of life
-  }
-}
-
-void DoublingGossipMachine::round_packed(sim::ProcessId p, PState& s,
-                                         sim::RoundIo<core::Msg>& io) {
   const bool inquire_round = (cur_round_ % 2) == 0;
 
   if (inquire_round) {
@@ -301,38 +209,27 @@ bool DoublingGossipMachine::finished() const {
 }
 
 std::uint32_t DoublingGossipMachine::ones_of(sim::ProcessId p) const {
-  if (packed_) {
-    // Omission adversaries deliver or drop, never corrupt, so every value
-    // p holds equals the sender's input — the readout is served from the
-    // global input prefix sums over p's (rotated) known-id runs.
-    std::uint32_t ones = 0;
-    for (const support::Run& r : st_[p].know_set->runs()) {
-      const std::uint64_t lo = static_cast<std::uint64_t>(r.lo) + p;
-      const std::uint64_t hi = static_cast<std::uint64_t>(r.hi) + p;
-      if (hi <= n_) {
-        ones += prefix_ones_[hi] - prefix_ones_[lo];
-      } else if (lo >= n_) {
-        ones += prefix_ones_[hi - n_] - prefix_ones_[lo - n_];
-      } else {
-        ones += prefix_ones_[n_] - prefix_ones_[lo];
-        ones += prefix_ones_[hi - n_];
-      }
-    }
-    return ones;
-  }
+  // Omission adversaries deliver or drop, never corrupt, so every value p
+  // holds equals the sender's input — the readout is served from the
+  // global input prefix sums over p's (rotated) known-id runs.
   std::uint32_t ones = 0;
-  for (std::int8_t v : st_[p].known) ones += v == 1;
+  for (const support::Run& r : st_[p].know_set->runs()) {
+    const std::uint64_t lo = static_cast<std::uint64_t>(r.lo) + p;
+    const std::uint64_t hi = static_cast<std::uint64_t>(r.hi) + p;
+    if (hi <= n_) {
+      ones += prefix_ones_[hi] - prefix_ones_[lo];
+    } else if (lo >= n_) {
+      ones += prefix_ones_[hi - n_] - prefix_ones_[lo - n_];
+    } else {
+      ones += prefix_ones_[n_] - prefix_ones_[lo];
+      ones += prefix_ones_[hi - n_];
+    }
+  }
   return ones;
 }
 
 std::uint32_t DoublingGossipMachine::zeros_of(sim::ProcessId p) const {
-  if (packed_) {
-    return static_cast<std::uint32_t>(st_[p].know_set->count()) -
-           ones_of(p);
-  }
-  std::uint32_t zeros = 0;
-  for (std::int8_t v : st_[p].known) zeros += v == 0;
-  return zeros;
+  return static_cast<std::uint32_t>(st_[p].know_set->count()) - ones_of(p);
 }
 
 }  // namespace omx::baselines

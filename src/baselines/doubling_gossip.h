@@ -28,24 +28,17 @@
 // the victims never complete, so the crash-style completion predicate
 // never fires for them.
 //
-// Two wire-equivalent state representations (DoublingConfig::packed):
-//   * legacy — per-process known vector (n bytes) plus an n×n `sent` flag
-//     matrix, FloodMsg pair-list replies: Θ(n²) memory per run and O(n)
-//     work per reply, which caps runs near n ≈ 10^4;
-//   * packed — knowledge is a run-length-coded id set (support/run_set.h)
-//     stored as (shared RunSet, rotation = own id). The fault-free
-//     execution is ring-symmetric, so every process's set is the same
-//     master set rotated, and the per-round set algebra (union of shifted
-//     reply deltas, know-minus-snapshot diffs) is memoized machine-wide:
-//     computed once, shared by all n processes. The `sent` matrix becomes
-//     one RunSet snapshot pointer per active channel, and replies carry
-//     RunMsg deltas whose cached bit size matches the legacy FloodMsg
-//     billing pair-for-pair — decisions, Metrics and message sequences are
-//     identical; memory drops from Θ(n²) to Õ(n), which is what lets a
-//     gossip run complete at n = 10^6.
-//     (Reply values are implied: omission adversaries never corrupt
-//     payloads, so the ones/zeros readout of a completed process equals
-//     the legacy per-process copy and is served from the global inputs.)
+// State: knowledge is a run-length-coded id set (support/run_set.h) stored
+// as (shared RunSet, rotation = own id). The fault-free execution is
+// ring-symmetric, so every process's set is the same master set rotated,
+// and the per-round set algebra (union of shifted reply deltas,
+// know-minus-snapshot diffs) is memoized machine-wide: computed once,
+// shared by all n processes. What a peer has already been sent is one
+// RunSet snapshot pointer per active reply channel, and replies carry
+// RunMsg deltas. Memory is Õ(n) per run, which lets a gossip run complete
+// at n = 10^6. Reply values are implied: omission adversaries never corrupt
+// payloads, so the ones/zeros readout of a process is served from the
+// global inputs over its known ids.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +60,6 @@ struct DoublingConfig {
   std::uint32_t initial_contacts = 0;
   /// Hard cap on exchanges (inquire+respond pairs); 0 = 4·ceil(log2 n) + t.
   std::uint32_t max_exchanges = 0;
-  /// Run-length-coded knowledge + RunMsg replies (see header comment).
-  bool packed = false;
 };
 
 class DoublingGossipMachine final : public sim::Machine<core::Msg> {
@@ -97,9 +88,6 @@ class DoublingGossipMachine final : public sim::Machine<core::Msg> {
   std::uint32_t doublings_of(sim::ProcessId p) const {
     return st_[p].doublings;
   }
-  /// Peak run count over all live knowledge sets (packed-mode diagnostics:
-  /// the compressibility the representation banks on).
-  std::size_t peak_runs() const { return peak_runs_; }
 
   std::uint32_t num_processes() const override { return n_; }
   void set_lanes(unsigned lanes) override {
@@ -112,12 +100,8 @@ class DoublingGossipMachine final : public sim::Machine<core::Msg> {
 
  private:
   struct PState {
-    // Legacy representation.
-    std::vector<std::int8_t> known;            // -1 / 0 / 1 per id
-    std::vector<std::uint8_t> sent;            // [peer][id] pair-sent flags
-    // Packed representation: ids { (x + p) mod n : x in *know_set }, plus
-    // one knowledge snapshot per reply channel (what the peer has been
-    // sent, replacing the `sent` row).
+    // Knowledge: ids { (x + p) mod n : x in *know_set }, plus one
+    // knowledge snapshot per reply channel (what the peer has been sent).
     support::RunSetPtr know_set;
     std::vector<std::pair<sim::ProcessId, support::RunSetPtr>> snaps;
 
@@ -129,11 +113,6 @@ class DoublingGossipMachine final : public sim::Machine<core::Msg> {
     std::vector<sim::ProcessId> inquirers;     // who asked this exchange
   };
 
-  void learn(PState& s, std::uint32_t id, std::uint8_t value);
-  void round_legacy(sim::ProcessId p, PState& s,
-                    sim::RoundIo<core::Msg>& io);
-  void round_packed(sim::ProcessId p, PState& s,
-                    sim::RoundIo<core::Msg>& io);
   support::RunSetPtr memo_union(
       const support::RunSetPtr& base,
       const std::vector<support::ShiftedSet>& ops);
@@ -145,20 +124,18 @@ class DoublingGossipMachine final : public sim::Machine<core::Msg> {
   std::uint32_t max_exchanges_ = 0;
   std::uint32_t cur_round_ = 0;
   std::uint32_t rounds_seen_ = 0;
-  bool packed_ = false;
   std::vector<PState> st_;
   std::vector<std::uint32_t> offsets_;  // contact order (fingers first)
   // Inquiry multicast list + union-operand scratch, one per engine lane.
   std::vector<std::vector<sim::ProcessId>> scratch_targets_{1};
   std::vector<std::vector<support::ShiftedSet>> scratch_ops_{1};
   std::vector<std::uint8_t> inputs_;
-  std::vector<std::uint32_t> prefix_ones_;  // packed ones_of readout
+  std::vector<std::uint32_t> prefix_ones_;  // ones_of readout
   const sim::FaultState* faults_ = nullptr;
   bool crash_semantics_ = false;
   bool full_horizon_ = false;
-  std::size_t peak_runs_ = 0;
 
-  // Machine-wide per-round memo of the packed set algebra. Keys are the
+  // Machine-wide per-round memo of the set algebra. Keys are the
   // operand object identities (RunSets are immutable and shared), so in
   // the symmetric fault-free execution every process hits the same entry
   // and the round's algebra is computed exactly once. Cleared each round;

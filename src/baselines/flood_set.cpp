@@ -5,10 +5,9 @@
 namespace omx::baselines {
 
 FloodSetMachine::FloodSetMachine(std::uint32_t t,
-                                 std::vector<std::uint8_t> inputs,
-                                 bool packed)
+                                 std::vector<std::uint8_t> inputs)
     : n_(static_cast<std::uint32_t>(inputs.size())),
-      fallback_(static_cast<std::uint32_t>(inputs.size()), t, packed) {
+      fallback_(static_cast<std::uint32_t>(inputs.size()), t) {
   OMX_REQUIRE(n_ >= 1, "need at least one process");
   st_.resize(n_);
   for (std::uint32_t p = 0; p < n_; ++p) {

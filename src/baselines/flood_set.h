@@ -20,11 +20,7 @@ namespace omx::baselines {
 
 class FloodSetMachine final : public sim::Machine<core::Msg> {
  public:
-  /// `packed` selects the word-packed fallback representation
-  /// (core/packed_view.h) — bit-identical decisions/Metrics/traces, much
-  /// faster compute phase.
-  FloodSetMachine(std::uint32_t t, std::vector<std::uint8_t> inputs,
-                  bool packed = false);
+  FloodSetMachine(std::uint32_t t, std::vector<std::uint8_t> inputs);
 
   void set_fault_view(const sim::FaultState* faults) { faults_ = faults; }
   std::uint32_t scheduled_rounds() const { return fallback_.total_rounds(); }

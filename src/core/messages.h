@@ -81,36 +81,22 @@ struct DecisionMsg {
   std::uint64_t bit_size() const { return 1; }
 };
 
-/// Flood-set fallback: (process id, input bit) pairs newly learned.
-struct FloodPair {
-  std::uint32_t id;
-  std::uint8_t value;
-};
-struct FloodMsg {
-  std::vector<FloodPair> pairs;
-  std::uint64_t bit_size() const {
-    std::uint64_t bits = 1;
-    for (const auto& p : pairs) bits += field_bits(p.id) + 1;
-    return bits;
-  }
-};
-
-/// Packed flood-set wire form: the same logical pair set as a FloodMsg,
-/// carried as two word-packed masks behind one shared allocation. bit_size
-/// is cached at construction and equals the legacy billing for the same id
-/// set (1 + sum of field_bits(id) + 1), so packed runs are bit-identical
-/// to legacy runs in Metrics and trace bytes.
+/// Flood-set relay: the (process id, input bit) pairs the sender learned
+/// since its last relay, carried as two word-packed masks behind one shared
+/// allocation (core/packed_view.h). bit_size is cached at construction:
+/// 1 + Σ (field_bits(id) + 1), each pair billed as a self-delimiting id
+/// plus its bit. A null view is the empty relay, 1 bit.
 struct PackedFloodMsg {
   std::shared_ptr<const PackedFlood> view;
   std::uint64_t bit_size() const { return view == nullptr ? 1 : view->bits; }
 };
 
-/// Run-length-coded gossip delta: ids { (x + rot) mod n : x in *delta }
-/// with their input bits implied by the receiver's global input lookup —
-/// the packed analogue of a doubling-gossip FloodMsg reply. bit_size and
-/// the logical pair count are cached at construction (shifted_pair_bits),
-/// matching the legacy reply billing pair-for-pair. An empty delta is the
-/// 1-bit sign-of-life heartbeat, exactly like an empty FloodMsg.
+/// Doubling-gossip reply: the ids { (x + rot) mod n : x in *delta } the
+/// responder had not yet sent to this inquirer, run-length coded, with
+/// their input bits implied by the receiver's global input lookup. bit_size
+/// and the pair count are cached at construction (shifted_pair_bits) and
+/// bill each pair like a flood-set relay does: 1 + Σ (field_bits(id) + 1).
+/// An empty delta is the 1-bit sign-of-life heartbeat.
 struct RunMsg {
   support::RunSetPtr delta;
   std::uint32_t rot = 0;
@@ -139,8 +125,8 @@ struct GossipMsg {
 };
 
 using Msg = std::variant<RelayPush, RelayAck, RelayShare, SpreadMsg,
-                         DecisionMsg, FloodMsg, GossipMsg, InquireMsg,
-                         ValueMsg, PackedFloodMsg, RunMsg>;
+                         DecisionMsg, GossipMsg, InquireMsg, ValueMsg,
+                         PackedFloodMsg, RunMsg>;
 
 std::uint64_t bit_size(const Msg& m);
 

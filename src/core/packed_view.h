@@ -4,10 +4,9 @@
 // ids whose input bit has been learned, `value` carries the bit (valid only
 // where known). Set-union of two views is a word-wide OR; majority
 // thresholding is two popcounts. The wire form (PackedFlood, shared
-// immutable) carries both masks plus a bit size pre-computed to match the
-// legacy FloodMsg billing exactly: 1 + sum over known ids of
-// (field_bits(id) + 1) — so packed and legacy runs are bit-identical in
-// Metrics and traces, not merely equivalent.
+// immutable) carries both masks plus a bit size computed once per blob:
+// 1 + sum over known ids of (field_bits(id) + 1), i.e. each pair billed as
+// a self-delimiting id plus its bit.
 #pragma once
 
 #include <array>
@@ -34,7 +33,7 @@ struct PackedFlood {
   static constexpr std::uint32_t kSparseMax = 4;
 
   std::uint32_t n = 0;
-  std::uint64_t bits = 1;  // legacy-equivalent wire size, cached
+  std::uint64_t bits = 1;  // wire size, cached
   /// > 0: the view is the `sparse_count` pairs in `sparse` (id << 1 | bit,
   /// ascending id) and the dense vectors below are empty.
   std::uint32_t sparse_count = 0;
@@ -131,8 +130,8 @@ class PackedView {
     return learned;
   }
 
-  /// Snapshot this view into a shared immutable wire blob, with the
-  /// legacy-equivalent bit size computed once (O(words)).
+  /// Snapshot this view into a shared immutable wire blob, with its bit
+  /// size computed once (O(words)).
   std::shared_ptr<const PackedFlood> make_blob() const {
     auto blob = std::make_shared<PackedFlood>();
     blob->n = n_;

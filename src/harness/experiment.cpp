@@ -230,10 +230,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
               "explicit_inputs must have exactly n entries (" +
                   std::to_string(cfg.explicit_inputs.size()) +
                   " given, n=" + std::to_string(cfg.n) + ")");
-  const bool flood_path =
-      cfg.algo == Algo::FloodSet || cfg.algo == Algo::BenOr;
-  OMX_REQUIRE(!cfg.packed || flood_path,
-              "packed views are implemented for floodset/benor only");
   auto inputs = cfg.explicit_inputs.empty()
                     ? make_inputs(cfg.inputs, cfg.n, cfg.seed)
                     : cfg.explicit_inputs;
@@ -277,8 +273,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       break;
     }
     case Algo::FloodSet: {
-      auto m = std::make_unique<baselines::FloodSetMachine>(cfg.t, inputs,
-                                                            cfg.packed);
+      auto m = std::make_unique<baselines::FloodSetMachine>(cfg.t, inputs);
       flood = m.get();
       schedule_hint = m->scheduled_rounds();
       machine = std::move(m);
@@ -287,7 +282,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     case Algo::BenOr: {
       baselines::BenOrConfig mc;
       mc.t = cfg.t;
-      mc.packed = cfg.packed;
       auto m = std::make_unique<baselines::BenOrMachine>(mc, inputs);
       benor = m.get();
       probe = m.get();

@@ -89,11 +89,6 @@ struct ExperimentConfig {
   unsigned threads = 1;
   /// Optional per-phase engine timing sink (bench_engine); nullptr = off.
   sim::EngineStats* engine_stats = nullptr;
-  /// Word-packed knowledge views on the flood paths (FloodSet / BenOr
-  /// only): PackedFloodMsg wire payloads with cached legacy-identical bit
-  /// sizes. Decisions, metrics and traces are bit-identical to the legacy
-  /// representation — only the wall time changes.
-  bool packed = false;
   /// When non-empty, write a binary event trace of the run to this path
   /// (trace/trace.h format; analyze with `omxtrace stats|dump|diff`). The
   /// stream is bit-identical across `threads` settings. Requires tracing to

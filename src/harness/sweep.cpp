@@ -286,7 +286,6 @@ std::string serialize_config(const ExperimentConfig& cfg) {
   os << "max_rounds=" << cfg.max_rounds << "\n";
   os << "deadline_ms=" << cfg.deadline_ms << "\n";
   os << "threads=" << cfg.threads << "\n";
-  if (cfg.packed) os << "packed=1\n";
   if (!cfg.trace_path.empty()) os << "trace_path=" << cfg.trace_path << "\n";
   if (cfg.trace_packed) os << "trace_packed=1\n";
   os << "params.delta_factor=" << format_double(cfg.params.delta_factor)
@@ -358,11 +357,10 @@ bool parse_config(const std::string& text, ExperimentConfig* out,
       cfg.deadline_ms = to_u64(v);
     } else if (k == "threads") {
       cfg.threads = static_cast<unsigned>(to_u64(v));
-    } else if (k == "packed") {
-      cfg.packed = v == "1" || v == "true";
-    } else if (k == "streamed" || k == "pipeline") {
-      // Retired delivery knobs: every run now streams, so old .repro files
-      // and checkpoints that still carry these lines parse unchanged.
+    } else if (k == "streamed" || k == "pipeline" || k == "packed") {
+      // Retired knobs: every run streams its delivery and keeps packed
+      // flood views, so old .repro files and checkpoints that still carry
+      // these lines parse unchanged.
     } else if (k == "trace_path") {
       cfg.trace_path = v;
     } else if (k == "trace_packed") {

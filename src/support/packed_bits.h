@@ -1,12 +1,11 @@
-// Word-packed bitset for the packed view-exchange hot paths.
+// Word-packed bitset behind the flood-set views (core/packed_view.h).
 //
-// The full-information protocols (flood-set, Ben-Or's fallback tail) spend
-// their compute phase doing set-union and threshold counting over per-id
-// knowledge. On the legacy representation that is one branch per (message,
-// pair); packed, it is one OR + popcount per 64 ids. PackedBits is the flat
-// storage: fixed size n, capacity-persistent reset, word-level access for
-// merge loops, and an O(words) accounting sum that reproduces the legacy
-// per-id `field_bits` billing exactly (support/bits.h).
+// The full-information protocols (flood-set, the fallback tails of
+// Algorithms 1 and 4 and of Ben-Or) spend their compute phase doing
+// set-union and threshold counting over per-id knowledge: one OR + popcount
+// per 64 ids. PackedBits is the flat storage: fixed size n,
+// capacity-persistent reset, word-level access for merge loops, and an
+// O(words) sum of the per-id `field_bits` wire billing (support/bits.h).
 //
 // Not a std::bitset/vector<bool> replacement in general — the API is
 // deliberately the small surface the packed views need.
@@ -97,8 +96,8 @@ class PackedBits {
   std::vector<std::uint64_t> words_;
 };
 
-/// Sum of field_bits(id) over every set id — the packed equivalent of the
-/// legacy per-pair billing loop, in O(words).
+/// Sum of field_bits(id) over every set id — the per-pair id billing of a
+/// whole view, in O(words).
 ///
 /// Width classes [2^(k-1), 2^k) are word-aligned for ids >= 64 (every power
 /// of two >= 64 is a multiple of 64), so each word w >= 1 lies entirely in

@@ -1,4 +1,4 @@
-// Run-length-coded id sets for the gossip packed path.
+// Run-length-coded id sets: the doubling gossip's knowledge state.
 //
 // Fault-free doubling gossip is ring-symmetric: every process's knowledge
 // is one master id set shifted by its own position, and that master set
@@ -9,7 +9,7 @@
 // footprint is a pointer, and identical set algebra across processes
 // collapses to one shared computation.
 //
-// Accounting: the legacy wire bills a flooded (id, bit) pair at
+// Accounting: the wire bills a flooded (id, bit) pair at
 // field_bits(id) + 1. A whole absolute-id interval [lo, hi) is billed in
 // O(1) via the closed-form prefix F = field_bits_prefix (support/bits.h):
 // (hi - lo) + F(hi) - F(lo). Rotation splits at the ring seam at most once
@@ -158,7 +158,7 @@ inline RunSetPtr difference(const RunSet& a, const RunSet& b) {
   return std::make_shared<RunSet>(std::move(out));
 }
 
-/// Legacy-equivalent wire billing for the absolute-id interval [lo, hi):
+/// Wire billing for the absolute-id interval [lo, hi):
 /// one (field_bits(id) + 1)-bit pair per id, summed in O(1).
 inline std::uint64_t interval_pair_bits(std::uint32_t lo, std::uint32_t hi) {
   return (hi - lo) + field_bits_prefix(hi) - field_bits_prefix(lo);

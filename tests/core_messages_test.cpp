@@ -41,13 +41,6 @@ TEST(Messages, DecisionIsOneBit) {
   EXPECT_EQ(DecisionMsg{1}.bit_size(), 1u);
 }
 
-TEST(Messages, FloodPairsBillIdPlusBit) {
-  FloodMsg m;
-  m.pairs.push_back({9, 1});  // 4 + 1
-  m.pairs.push_back({0, 0});  // 1 + 1
-  EXPECT_EQ(m.bit_size(), 1u + 5u + 2u);
-}
-
 TEST(Messages, InquireIsOneBit) {
   EXPECT_EQ(InquireMsg{}.bit_size(), 1u);
 }

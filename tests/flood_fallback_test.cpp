@@ -80,6 +80,38 @@ TEST(FloodFallback, NonParticipantsLearnFromDecisionBroadcast) {
   }
 }
 
+// A member's views are sized when it registers, and an unsized view reads
+// as full. A non-participant must still report a live inbox (so callers
+// walk it for the decision broadcast), ignore flood traffic and never
+// relay; a participant holding every pair may skip its flood inboxes.
+TEST(FloodFallback, NonParticipantKeepsNoViewsAndIgnoresFloodTraffic) {
+  const std::uint32_t n = 5, t = 1;
+  FloodFallback fb(n, t);
+  for (std::uint32_t m = 1; m < n; ++m) fb.set_participant(m, 1);
+  for (std::uint32_t fr = 0; fr < fb.total_rounds(); ++fr) {
+    EXPECT_FALSE(fb.inbox_is_noop(0, fr)) << fr;
+  }
+  std::uint32_t sent_by_0 = 0;
+  drive(fb, n, [&](std::uint32_t from, std::uint32_t, std::uint32_t) {
+    sent_by_0 += from == 0 ? 1 : 0;
+    return false;
+  });
+  EXPECT_EQ(sent_by_0, 0u);
+  EXPECT_FALSE(fb.participant(0));
+  EXPECT_FALSE(fb.inbox_is_noop(0, 0));
+  ASSERT_TRUE(fb.has_decision(0));
+  EXPECT_EQ(fb.decision(0), 1);
+
+  FloodFallback all(n, t);
+  for (std::uint32_t m = 0; m < n; ++m) all.set_participant(m, m % 2);
+  EXPECT_FALSE(all.inbox_is_noop(0, 0));  // knows only its own pair
+  drive(all, n, [](auto, auto, auto) { return false; });
+  for (std::uint32_t m = 0; m < n; ++m) {
+    EXPECT_TRUE(all.inbox_is_noop(m, t + 1)) << m;
+    EXPECT_FALSE(all.inbox_is_noop(m, t + 2)) << m;  // decision round
+  }
+}
+
 TEST(FloodFallback, AgreementSurvivesOmissionsOnFaultyChains) {
   // t = 2 faulty senders {0, 1} that only talk to process 2; flooding must
   // still equalize the pair sets among all participants within t+1 rounds.

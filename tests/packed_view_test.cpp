@@ -106,7 +106,7 @@ TEST(PackedView, EmptyViewBlobIsOneBit) {
   EXPECT_FALSE(v.full());
   EXPECT_EQ(v.known_count(), 0u);
   const auto blob = v.make_blob();
-  EXPECT_EQ(blob->bits, 1u);  // the legacy empty FloodMsg also bills 1 bit
+  EXPECT_EQ(blob->bits, 1u);  // an empty relay is its 1-bit framing
 }
 
 TEST(PackedView, AddAndReadBack) {
@@ -134,7 +134,8 @@ TEST(PackedView, AllKnownShortCircuitsAndCounts) {
   EXPECT_TRUE(v.full());
   EXPECT_EQ(v.ones(), ones);
   EXPECT_EQ(v.zeros(), n - ones);
-  // Blob billing == legacy FloodMsg billing for the same pair set.
+  // A relay bills 1 + Σ (field_bits(id) + 1): a self-delimiting id plus
+  // the bit per pair.
   std::uint64_t brute = 1;
   for (std::uint32_t id = 0; id < n; ++id) {
     brute += field_bits(id) + 1;

@@ -123,20 +123,24 @@ TEST(ConfigHash, IgnoresWorkerLaneCountButNotSeeds) {
   EXPECT_EQ(config_key(a).size(), 16u);
 }
 
-// Configs written while delivery was still a choice carry streamed= and
-// pipeline= lines. They must still parse, and resolve to the key of the
-// same text without those lines.
+// Configs written while delivery or the flood representation was still a
+// choice carry streamed=, pipeline= and packed= lines. They must still
+// parse, and resolve to the key and serialization of the same text without
+// those lines.
 TEST(ConfigHash, RetiredDeliveryLinesParseAndDoNotChangeTheKey) {
   const std::string text =
-      "algo=floodset\nattack=rand-omit\nn=32\nt=4\nseed=5\npacked=1\n";
+      "algo=floodset\nattack=rand-omit\nn=32\nt=4\nseed=5\n";
   ExperimentConfig plain;
-  ExperimentConfig old;
   std::string err;
   ASSERT_TRUE(parse_config(text, &plain, &err)) << err;
-  ASSERT_TRUE(parse_config(text + "streamed=1\npipeline=1\n", &old, &err))
-      << err;
-  EXPECT_EQ(config_key(old), config_key(plain));
-  EXPECT_EQ(serialize_config(old), serialize_config(plain));
+  for (const char* retired :
+       {"streamed=1\npipeline=1\n", "packed=0\n", "packed=1\n"}) {
+    SCOPED_TRACE(retired);
+    ExperimentConfig old;
+    ASSERT_TRUE(parse_config(text + retired, &old, &err)) << err;
+    EXPECT_EQ(config_key(old), config_key(plain));
+    EXPECT_EQ(serialize_config(old), serialize_config(plain));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -94,7 +94,6 @@ void add_grid_flags(ArgParser* args) {
   args->add_option("budget", "-1", "random-bit budget (-1 = unlimited)");
   args->add_option("drop-prob", "0.8", "drop probability for rand-omit");
   args->add_option("params", "practical", "practical | paper constants");
-  args->add_flag("packed", "word-packed knowledge views (floodset/benor)");
 }
 
 /// Expand the grid flags into configs, mirroring omxsim's per-n t rule.
@@ -112,7 +111,6 @@ std::vector<harness::ExperimentConfig> expand_grid(const ArgParser& args) {
   if (budget >= 0) {
     base.random_bit_budget = static_cast<std::uint64_t>(budget);
   }
-  base.packed = args.flag("packed");
 
   const auto t_flag = args.get_int("t");
   const auto first_seed = static_cast<std::uint64_t>(args.get_int("seed"));

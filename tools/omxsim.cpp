@@ -127,9 +127,6 @@ int run_main(int argc, char** argv) {
   args.add_flag("trace-packed",
                 "write the trace in the packed (compressed) storage format; "
                 "same event stream, omxtrace reads both");
-  args.add_flag("packed",
-                "word-packed knowledge views (floodset/benor); bit-identical "
-                "results, much faster at large n");
   args.add_flag("csv", "emit one CSV line per run instead of a table");
 
   if (!args.parse(argc, argv)) {
@@ -168,7 +165,6 @@ int run_main(int argc, char** argv) {
   cfg.threads = static_cast<unsigned>(args.get_int("threads"));
   cfg.schedule = args.get("schedule");
   cfg.trace_packed = args.flag("trace-packed");
-  cfg.packed = args.flag("packed");
 
   harness::SweepOptions sweep_opts = harness::SweepOptions::from_env();
   if (!args.get("checkpoint").empty()) {
