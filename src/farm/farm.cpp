@@ -1,11 +1,7 @@
 #include "farm/farm.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -22,7 +18,6 @@
 #include <utility>
 
 #include "farm/shard.h"
-#include "farm/test_hooks.h"
 #include "support/check.h"
 
 namespace omx::farm {
@@ -34,13 +29,6 @@ namespace {
 /// Lease slot id for items held by remote workers (local forks use their
 /// slot index >= 0).
 constexpr int kRemoteSlot = -2;
-
-std::uint64_t steady_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 double ms_between(std::chrono::steady_clock::time_point from,
                   std::chrono::steady_clock::time_point to) {
@@ -58,44 +46,6 @@ std::string json_fixed(double value, int decimals) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
   return buf;
-}
-
-int exit_code_for_verdict(harness::Verdict v) {
-  switch (v) {
-    case harness::Verdict::Ok:
-    case harness::Verdict::RoundCap:
-    case harness::Verdict::Timeout:
-      return 0;  // recorded, possibly imperfect — but the line is durable
-    case harness::Verdict::Precondition:
-      return 2;
-    case harness::Verdict::Invariant:
-      return 3;
-    case harness::Verdict::AdversaryViolation:
-      return 4;
-  }
-  return 3;
-}
-
-bool write_all_fd(int fd, const char* p, std::size_t len) {
-  while (len > 0) {
-    const ssize_t wrote = ::write(fd, p, len);
-    if (wrote <= 0) return false;
-    p += wrote;
-    len -= static_cast<std::size_t>(wrote);
-  }
-  return true;
-}
-
-/// Append one line + fsync: the record is durable before the caller
-/// advances its state machine.
-bool append_line_durably(const std::string& path, const std::string& line) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd < 0) return false;
-  const std::string data = line + "\n";
-  const bool ok = write_all_fd(fd, data.data(), data.size()) &&
-                  ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
 }
 
 /// Publish small metadata files (the resolved endpoint, the artifacts
@@ -153,10 +103,6 @@ Farm::Farm(FarmOptions options, WorkQueue::Clock now)
   // Workers never checkpoint on their own: the shard line IS the
   // checkpoint, written exactly once per completed trial.
   options_.sweep.checkpoint_path.clear();
-  if (options_.use_artifact_cache &&
-      std::getenv("OMX_ARTIFACT_CACHE") == nullptr) {
-    ::setenv("OMX_ARTIFACT_CACHE", (options_.dir + "/cache").c_str(), 0);
-  }
   slots_.resize(static_cast<std::size_t>(options_.workers));
   report_.slot_busy_ms.assign(slots_.size(), 0.0);
 }
@@ -187,8 +133,8 @@ std::string Farm::remote_shard_path() const {
   return shard_dir() + "/remote.jsonl";
 }
 
-std::string Farm::socket_path_for(const std::string& dir) {
-  return dir + "/farm.sock";
+Endpoint Farm::socket_endpoint_for(const std::string& dir) {
+  return Endpoint::parse("unix:" + dir + "/farm.sock");
 }
 
 std::string Farm::endpoint_path_for(const std::string& dir) {
@@ -211,31 +157,15 @@ void Farm::resume_from_shards() {
   if (!scan.lines.empty()) durable_dirty_ = true;
 }
 
-[[noreturn]] void Farm::worker_main(const WorkItem& item, int slot) {
-  // Keep the fork narrow: run the trial, make its line durable, exit with
-  // the verdict-taxonomy code. _exit (not exit) — the daemon's atexit
-  // state is not ours to run.
-  maybe_run_trial_chaos_hooks(item.key, item.attempts);
-  harness::Sweep sweep(options_.sweep);
-  harness::ExperimentConfig cfg = item.config;
-  // Worker lanes off inside workers: farm parallelism is process-level,
-  // and the engine is bit-identical at every lane count anyway.
-  cfg.threads = 1;
-  const harness::TrialOutcome outcome = sweep.run(cfg);
-  const std::string line = harness::checkpoint_line(item.key, outcome);
-  if (!append_line_durably(shard_path(slot), line)) {
-    std::fprintf(stderr, "farm worker: cannot append to %s\n",
-                 shard_path(slot).c_str());
-    ::_exit(6);  // undurable result — the daemon re-leases the item
-  }
-  ::_exit(exit_code_for_verdict(outcome.verdict));
-}
-
 void Farm::spawn_ready_workers() {
   for (int slot = 0; slot < options_.workers; ++slot) {
     if (slots_[static_cast<std::size_t>(slot)].pid != -1) continue;
     const auto index = queue_.acquire(slot, /*pid=*/-1);
     if (!index) return;  // nothing eligible right now
+    const WorkItem& item = queue_.item(*index);
+    // Built here, once per process, the graph and partition reach every
+    // later fork copy-on-write.
+    harness::prebuild_shared_artifacts(item.config);
     std::fflush(nullptr);  // no duplicated stdio buffers in the child
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -244,7 +174,8 @@ void Farm::spawn_ready_workers() {
       return;
     }
     if (pid == 0) {
-      worker_main(queue_.item(*index), slot);  // never returns
+      run_trial_process(options_.sweep, item.key, item.attempts, item.config,
+                        shard_path(slot));
     }
     queue_.set_lease_pid(*index, pid);
     slots_[static_cast<std::size_t>(slot)] =
@@ -305,7 +236,7 @@ void Farm::reap_worker(std::size_t slot, bool blocking) {
   if (exited) {
     const int code = WEXITSTATUS(status);
     ++report_.exit_codes[code];
-    if (code == 0 || code == 2 || code == 3 || code == 4) {
+    if (is_recorded_exit(code)) {
       // Recorded outcome (the taxonomy codes are *recorded* model
       // violations — deterministic, so a re-lease would just re-fail).
       queue_.complete(index);
@@ -497,7 +428,7 @@ std::string Farm::handle_request(
     const auto index = queue_.find(wire::get(msg, "key"));
     const auto epoch = static_cast<std::uint32_t>(
         std::strtoul(wire::get(msg, "epoch").c_str(), nullptr, 10));
-    if (index && queue_.renew(*index, epoch)) {
+    if (index && queue_.lease_current(*index, epoch)) {
       return reply({{"type", "ok"}});
     }
     return reply({{"type", "stale"}});
@@ -521,8 +452,7 @@ std::string Farm::handle_request(
     const auto index = queue_.find(wire::get(msg, "key"));
     const auto epoch = static_cast<std::uint32_t>(
         std::strtoul(wire::get(msg, "epoch").c_str(), nullptr, 10));
-    if (index && queue_.item(*index).state == ItemState::Leased &&
-        queue_.item(*index).attempts == epoch) {
+    if (index && queue_.lease_current(*index, epoch)) {
       ++report_.remote_failures;
       const WorkItem item = queue_.item(*index);
       if (!queue_.fail(*index)) record_exhausted(item, false);
@@ -555,68 +485,6 @@ std::string Farm::handle_request(
 
 // ---------------------------------------------------------------------------
 // Event loop plumbing.
-
-int Farm::open_socket() {
-  const std::string path = socket_path_for(options_.dir);
-  sockaddr_un addr{};
-  if (path.size() >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr,
-                 "farm: socket path %s exceeds the AF_UNIX limit — status "
-                 "endpoint disabled\n",
-                 path.c_str());
-    return -1;
-  }
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listener < 0) return -1;
-  ::unlink(path.c_str());
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0 ||
-      ::listen(listener, 8) != 0) {
-    std::fprintf(stderr, "farm: cannot serve %s: %s\n", path.c_str(),
-                 std::strerror(errno));
-    ::close(listener);
-    return -1;
-  }
-  return listener;
-}
-
-void Farm::serve_status_client(int listener) {
-  const int client = ::accept(listener, nullptr, nullptr);
-  if (client < 0) return;
-  char buf[256];
-  const ssize_t got = ::recv(client, buf, sizeof buf - 1, 0);
-  std::string request(buf, got > 0 ? static_cast<std::size_t>(got) : 0);
-  if (const auto nl = request.find('\n'); nl != std::string::npos) {
-    request.resize(nl);
-  }
-  if (request == "follow") {
-    // Keep the client: push_follow_lines streams every durable line (past
-    // and future) and finishes with "end\n" when the farm completes.
-    raw_followers_.push_back(RawFollower{client, {}});
-    durable_dirty_ = true;
-    return;
-  }
-  std::string response;
-  if (request == "status") {
-    response = status_json() + "\n";
-  } else if (request == "results") {
-    // Live view of everything durable so far, in canonical order.
-    for (const auto& [key, line] : scan_shards(shard_dir()).lines) {
-      response += line;
-      response += '\n';
-    }
-  } else if (request == "artifacts") {
-    response = artifacts_json() + "\n";
-  } else {
-    response =
-        "{\"error\":\"unknown request (want: status | results | artifacts | "
-        "follow)\"}\n";
-  }
-  write_all_fd(client, response.data(), response.size());
-  ::close(client);
-}
 
 void Farm::pump_remote(Remote* remote) {
   // Drain every frame that is already buffered; Timeout means "no more".
@@ -661,36 +529,11 @@ void Farm::pump_remote(Remote* remote) {
 void Farm::push_follow_lines(bool final_push) {
   if (!durable_dirty_ && !final_push) return;
   const bool any_follower =
-      !raw_followers_.empty() ||
       std::any_of(remotes_.begin(), remotes_.end(),
                   [](const Remote& r) { return r.peer.follow; });
   durable_dirty_ = false;
   if (!any_follower) return;
   const ShardScan scan = scan_shards(shard_dir());
-
-  for (auto& follower : raw_followers_) {
-    if (follower.fd < 0) continue;
-    bool alive = true;
-    for (const auto& [key, line] : scan.lines) {
-      if (!follower.sent_keys.insert(key).second) continue;
-      const std::string data = line + "\n";
-      if (!write_all_fd(follower.fd, data.data(), data.size())) {
-        alive = false;
-        break;
-      }
-    }
-    if (final_push && alive) {
-      const char end[] = "end\n";
-      write_all_fd(follower.fd, end, sizeof end - 1);
-      alive = false;
-    }
-    if (!alive) {
-      ::close(follower.fd);
-      follower.fd = -1;
-    }
-  }
-  std::erase_if(raw_followers_,
-                [](const RawFollower& f) { return f.fd < 0; });
 
   for (auto& remote : remotes_) {
     if (!remote.peer.follow || remote.conn->fd() < 0) continue;
@@ -728,18 +571,17 @@ int Farm::wait_timeout_ms() const {
 }
 
 void Farm::pump_events(int timeout_ms) {
-  enum class Source { StatusListener, WorkerListener, Remote, Slot };
+  enum class Source { Listener, Remote, Slot };
   std::vector<pollfd> pfds;
   std::vector<std::pair<Source, std::size_t>> owner;  // parallel to pfds
   const auto watch = [&](int fd, Source source, std::size_t index) {
     pfds.push_back(pollfd{fd, POLLIN, 0});
     owner.emplace_back(source, index);
   };
-  if (status_listener_fd_ >= 0) {
-    watch(status_listener_fd_, Source::StatusListener, 0);
-  }
-  if (worker_listener_) {
-    watch(worker_listener_->fd(), Source::WorkerListener, 0);
+  Listener* const listeners[] = {socket_listener_.get(),
+                                 worker_listener_.get()};
+  for (std::size_t i = 0; i < std::size(listeners); ++i) {
+    if (listeners[i]) watch(listeners[i]->fd(), Source::Listener, i);
   }
   for (std::size_t i = 0; i < remotes_.size(); ++i) {
     if (remotes_[i].conn->fd() >= 0) {
@@ -758,11 +600,8 @@ void Farm::pump_events(int timeout_ms) {
       if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const auto [source, index] = owner[i];
       switch (source) {
-        case Source::StatusListener:
-          serve_status_client(status_listener_fd_);
-          break;
-        case Source::WorkerListener:
-          if (auto conn = worker_listener_->accept(0)) {
+        case Source::Listener:
+          if (auto conn = listeners[index]->accept(0)) {
             remotes_.push_back(Remote{std::move(conn), RemotePeer{}});
           }
           break;
@@ -839,7 +678,16 @@ FarmReport Farm::run() {
   ::signal(SIGPIPE, SIG_IGN);
   run_started_ = std::chrono::steady_clock::now();
   resume_from_shards();
-  status_listener_fd_ = options_.serve_socket ? open_socket() : -1;
+  if (options_.serve_socket) {
+    // A farm runs without its socket rather than not at all (e.g. a state
+    // directory whose path exceeds the AF_UNIX limit).
+    try {
+      socket_listener_ =
+          std::make_unique<Listener>(socket_endpoint_for(options_.dir));
+    } catch (const PreconditionError& e) {
+      std::fprintf(stderr, "farm: %s — farm.sock disabled\n", e.what());
+    }
+  }
   if (!options_.listen.empty()) {
     worker_listener_ =
         std::make_unique<Listener>(Endpoint::parse(options_.listen));
@@ -887,52 +735,75 @@ FarmReport Farm::run() {
     push_follow_lines(/*final_push=*/true);
   }
 
-  if (status_listener_fd_ >= 0) {
-    ::close(status_listener_fd_);
-    status_listener_fd_ = -1;
-    ::unlink(socket_path_for(options_.dir).c_str());
-  }
+  socket_listener_.reset();  // unlinks farm.sock
   if (worker_listener_) {
     ::unlink(endpoint_path_for(options_.dir).c_str());
     worker_listener_.reset();
   }
   for (auto& remote : remotes_) remote.conn->close();
   remotes_.clear();
-  for (auto& follower : raw_followers_) {
-    if (follower.fd >= 0) ::close(follower.fd);
-  }
-  raw_followers_.clear();
   return report_;
 }
 
-std::string Farm::query(const std::string& dir, const std::string& request) {
-  const std::string path = socket_path_for(dir);
-  sockaddr_un addr{};
-  OMX_REQUIRE(path.size() < sizeof(addr.sun_path),
-              "farm: socket path too long: " + path);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  OMX_REQUIRE(fd >= 0, "farm: cannot create socket");
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
-    throw PreconditionError("farm: no daemon listening at " + path + ": " +
-                            std::strerror(errno));
+namespace {
+
+/// Dial a farm endpoint and send one request; throws PreconditionError when
+/// nobody listens there.
+std::unique_ptr<Conn> dial_farm(const Endpoint& ep, const std::string& type) {
+  auto conn = dial(ep);
+  if (!conn || !conn->send(wire::encode({{"type", type}, {"rid", "1"}}))) {
+    throw PreconditionError("farm: no daemon listening at " +
+                            ep.to_string());
   }
-  const std::string line = request + "\n";
-  std::string response;
-  if (write_all_fd(fd, line.data(), line.size())) {
-    ::shutdown(fd, SHUT_WR);
-    char buf[4096];
-    for (;;) {
-      const ssize_t got = ::recv(fd, buf, sizeof buf, 0);
-      if (got <= 0) break;
-      response.append(buf, static_cast<std::size_t>(got));
+  return conn;
+}
+
+/// Receive the next decodable message into *msg: Ok, or Timeout when
+/// `timeout_ms` passed without one, or Closed. Throws CorruptInputError on
+/// bad bytes.
+RecvStatus next_message(Conn* conn, const Endpoint& ep, int timeout_ms,
+                        std::map<std::string, std::string>* msg) {
+  for (;;) {
+    std::string payload;
+    const RecvStatus status = conn->recv(&payload, timeout_ms);
+    if (status == RecvStatus::Corrupt) {
+      throw CorruptInputError(ep.to_string(), conn->corrupt_offset(),
+                              "transport frame: " + conn->corrupt_detail());
     }
+    msg->clear();
+    if (status != RecvStatus::Ok || wire::decode(payload, msg)) return status;
   }
-  ::close(fd);
-  return response;
+}
+
+}  // namespace
+
+std::string Farm::query(const Endpoint& ep, const std::string& request) {
+  const auto conn = dial_farm(ep, request);
+  std::map<std::string, std::string> msg;
+  if (next_message(conn.get(), ep, 5000, &msg) != RecvStatus::Ok) {
+    throw PreconditionError("farm: no answer from " + ep.to_string());
+  }
+  const std::string type = wire::get(msg, "type");
+  if (type == "results") return wire::get(msg, "lines");
+  if (type == "status" || type == "artifacts") {
+    return wire::get(msg, "json") + "\n";
+  }
+  return "{\"error\":\"" + json_escape_min(wire::get(msg, "detail")) +
+         "\"}\n";
+}
+
+bool Farm::follow(const Endpoint& ep,
+                  const std::function<void(const std::string&)>& on_line) {
+  const auto conn = dial_farm(ep, "follow");
+  for (;;) {
+    std::map<std::string, std::string> msg;
+    const RecvStatus status = next_message(conn.get(), ep, 1000, &msg);
+    if (status == RecvStatus::Closed) return false;
+    if (status == RecvStatus::Timeout) continue;  // a quiet farm is alive
+    const std::string type = wire::get(msg, "type");
+    if (type == "line") on_line(wire::get(msg, "line"));
+    if (type == "end") return true;
+  }
 }
 
 }  // namespace omx::farm

@@ -23,20 +23,23 @@
 //                      the merged output is byte-identical to an
 //                      uninterrupted farm's (and, after canonical sort, to
 //                      a single-process Sweep of the same grid).
-//   corrupt cache    → the artifact cache checksums every entry; a torn or
-//                      bit-flipped blob is a miss and the artifact is
-//                      rebuilt. Decisions and metrics never change.
 //
-// While running, the daemon serves newline-delimited requests ("status",
-// "results", "artifacts", "follow") over a Unix-domain socket at
-// `<dir>/farm.sock`, answering with JSON — any number of clients can poll
-// (or, with "follow", stream) a running farm.
+// Per-n artifacts (Algorithm 1's communication graph and √n partition) are
+// built in the daemon, through their in-process memos, right before the
+// fork that needs them (harness::prebuild_shared_artifacts): every worker
+// inherits them copy-on-write and builds nothing.
 //
-// The daemon is one poll(2) loop, and only events wake it: a frame from a
-// remote worker or a new worker connection, a status client, a local
-// worker's exit (each forked slot's pidfd polls readable when its worker
-// dies, and the loop reaps exactly that slot), and the next lease-watchdog
-// or backoff deadline. No fixed tick remains; a slot whose pidfd_open
+// While running, the daemon serves the framed protocol of transport.h on a
+// Unix-domain socket at `<dir>/farm.sock`, the same protocol and handler
+// as the worker endpoint: any number of clients can ask for "status",
+// "results" or "artifacts" (Farm::query) or stream merged lines with
+// "follow" (Farm::follow) while the farm runs.
+//
+// The daemon is one poll(2) loop, and only events wake it: a new
+// connection or a frame on either endpoint, a local worker's exit (each
+// forked slot's pidfd polls readable when its worker dies, and the loop
+// reaps exactly that slot), and the next lease-watchdog or backoff
+// deadline. No fixed tick remains; a slot whose pidfd_open
 // failed bounds the wait instead (PidFd::cap_timeout), and a free slot with
 // an item already eligible does not wait at all. The daemon reaps only the
 // pids it forked, so children of an embedding program keep their exit
@@ -74,6 +77,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -89,7 +93,7 @@
 namespace omx::farm {
 
 struct FarmOptions {
-  /// Farm state directory: shards/, merged.jsonl, farm.sock, cache/.
+  /// Farm state directory: shards/, merged.jsonl, farm.sock.
   std::string dir;
   /// Concurrent fork-isolated local workers (0 = remote workers only;
   /// requires a listen endpoint).
@@ -103,22 +107,20 @@ struct FarmOptions {
   /// this long so connected workers receive "done" instead of discovering
   /// the daemon's death through their reconnect deadline.
   std::uint64_t shutdown_linger_ms = 500;
-  /// Lease watchdog (ms): a worker past this deadline is SIGKILLed and the
-  /// lease failed. 0 = none. Distinct from the *cooperative* per-trial
-  /// deadline (sweep.trial_deadline_ms), which a healthy engine honors by
-  /// recording a timeout verdict; the watchdog is the backstop for a
-  /// worker that cannot even do that.
+  /// Lease watchdog (ms): a lease still unsettled this long after its
+  /// grant is failed, its local worker SIGKILLed; a remote worker hears
+  /// "stale" at its next heartbeat and kills its trial. Heartbeats do not
+  /// extend the deadline. 0 = none. Distinct from the *cooperative*
+  /// per-trial deadline (sweep.trial_deadline_ms), which a healthy engine
+  /// honors by recording a timeout verdict; the watchdog is the backstop
+  /// for a worker that cannot even do that.
   std::uint64_t watchdog_ms = 0;
   /// Farm-level leases per item (crash/hang retries; 1 = none).
   std::uint32_t max_attempts = 3;
   std::uint64_t backoff_base_ms = 100;
   std::uint64_t backoff_cap_ms = 5000;
-  /// Serve status/results over <dir>/farm.sock while running.
+  /// Serve the framed protocol on <dir>/farm.sock while running.
   bool serve_socket = true;
-  /// Point OMX_ARTIFACT_CACHE at <dir>/cache before forking workers (only
-  /// when the variable is not already set), so all workers share one
-  /// crash-consistent artifact store.
-  bool use_artifact_cache = true;
   /// In-worker trial options (cooperative deadline, transient-verdict seed
   /// retries, repro capture) — the same knobs a single-process Sweep takes,
   /// so a farm and a Sweep given identical options produce identical lines.
@@ -175,14 +177,15 @@ class Farm {
   /// every item settles, then publish <dir>/merged.jsonl. Blocking.
   FarmReport run();
 
-  /// One-line JSON status snapshot (the socket's "status" answer).
+  /// One-line JSON status snapshot (the "status" answer).
   std::string status_json() const;
 
-  /// The worker-protocol request handler, transport-independent: one
-  /// decoded request message in, one response message out (empty = no
-  /// response; the connection state records side effects like follow
-  /// subscription). Public so protocol tests can drive lease/heartbeat/
-  /// result semantics without sockets; the event loop calls it per frame.
+  /// The protocol's request handler, transport-independent: one decoded
+  /// request message in, one response message out (empty = no response;
+  /// the connection state records side effects like follow subscription).
+  /// Public so protocol tests can drive lease/heartbeat/result semantics
+  /// without sockets; the event loop calls it per frame from either
+  /// endpoint.
   struct RemotePeer {
     std::string name;     // from hello
     bool follow = false;  // subscribed to the merged-line stream
@@ -191,14 +194,25 @@ class Farm {
   std::string handle_request(const std::map<std::string, std::string>& msg,
                              RemotePeer* peer);
 
-  static std::string socket_path_for(const std::string& dir);
+  /// The endpoint a farm in `dir` serves: unix:<dir>/farm.sock.
+  static Endpoint socket_endpoint_for(const std::string& dir);
   /// Path of the file the daemon publishes its resolved listen endpoint to.
   static std::string endpoint_path_for(const std::string& dir);
 
   /// Client side: send `request` ("status", "results", "artifacts") to the
-  /// farm serving <dir>/farm.sock and return the raw response. Throws
-  /// PreconditionError if no daemon is listening there.
-  static std::string query(const std::string& dir, const std::string& request);
+  /// farm serving `ep` and return the answer as text: the JSON object plus
+  /// a newline for status and artifacts, the durable lines for results,
+  /// {"error":...} plus a newline for anything else. Throws
+  /// PreconditionError when no daemon answers there, CorruptInputError on
+  /// a corrupt frame.
+  static std::string query(const Endpoint& ep, const std::string& request);
+
+  /// Client side: subscribe to the merged-line stream of the farm serving
+  /// `ep` and hand each line to `on_line` as it becomes durable. Returns
+  /// true at the daemon's "end" (the farm finished), false when the
+  /// connection closes first. Throws like query().
+  static bool follow(const Endpoint& ep,
+                     const std::function<void(const std::string&)>& on_line);
 
  private:
   struct Slot {
@@ -210,10 +224,6 @@ class Farm {
   struct Remote {
     std::unique_ptr<Conn> conn;
     RemotePeer peer;
-  };
-  struct RawFollower {
-    int fd = -1;
-    std::set<std::string> sent_keys;
   };
 
   std::string shard_dir() const { return options_.dir + "/shards"; }
@@ -227,13 +237,11 @@ class Farm {
 
   void resume_from_shards();
   void spawn_ready_workers();
-  [[noreturn]] void worker_main(const WorkItem& item, int slot);
   /// Reap slot `slot`'s worker if it has exited (blocking: wait for it)
   /// and settle its lease from the exit status.
   void reap_worker(std::size_t slot, bool blocking);
   void kill_expired_leases();
   void record_exhausted(const WorkItem& item, bool hung);
-  int open_socket();
   /// How long the loop may block: 0 while a free slot could lease an
   /// item now, else until the next lease or backoff deadline, -1 (no
   /// limit) when nothing is timed.
@@ -241,7 +249,6 @@ class Farm {
   /// Block in poll(2) on every wake source (sockets, worker pidfds) for at
   /// most timeout_ms, then serve what fired.
   void pump_events(int timeout_ms);
-  void serve_status_client(int listener);
   void pump_remote(Remote* remote);
   void push_follow_lines(bool final_push);
   /// report_ with wall_ms and slot_busy_ms brought up to now (live
@@ -259,10 +266,9 @@ class Farm {
   std::vector<Slot> slots_;
   FarmReport report_;
   std::optional<std::chrono::steady_clock::time_point> run_started_;
-  int status_listener_fd_ = -1;  // <dir>/farm.sock listener (raw protocol)
-  std::unique_ptr<Listener> worker_listener_;
-  std::vector<Remote> remotes_;
-  std::vector<RawFollower> raw_followers_;
+  std::unique_ptr<Listener> socket_listener_;  // <dir>/farm.sock
+  std::unique_ptr<Listener> worker_listener_;  // FarmOptions::listen
+  std::vector<Remote> remotes_;  // connections accepted on either one
   bool durable_dirty_ = false;  // new lines since the last follow push
   /// key → {repro path, trace path, worker name}: the artifacts index,
   /// built from local capture paths and remote workers' reports.

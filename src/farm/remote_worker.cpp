@@ -1,13 +1,11 @@
 #include "farm/remote_worker.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,53 +24,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::uint64_t steady_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Per-attempt wait for an RPC response before re-sending the request.
 /// Short enough that a dropped response costs little, long enough that a
 /// delay-chaos'd daemon usually answers in one attempt.
 constexpr int kResponseTimeoutMs = 750;
-
-int exit_code_for_verdict(harness::Verdict v) {
-  switch (v) {
-    case harness::Verdict::Ok:
-    case harness::Verdict::RoundCap:
-    case harness::Verdict::Timeout:
-      return 0;
-    case harness::Verdict::Precondition:
-      return 2;
-    case harness::Verdict::Invariant:
-      return 3;
-    case harness::Verdict::AdversaryViolation:
-      return 4;
-  }
-  return 3;
-}
-
-bool append_line_durably(const std::string& path, const std::string& line) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd < 0) return false;
-  const std::string data = line + "\n";
-  const char* p = data.data();
-  std::size_t len = data.size();
-  while (len > 0) {
-    const ssize_t wrote = ::write(fd, p, len);
-    if (wrote <= 0) {
-      ::close(fd);
-      return false;
-    }
-    p += wrote;
-    len -= static_cast<std::size_t>(wrote);
-  }
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
 
 [[noreturn]] void throw_corrupt(const Conn& conn, const std::string& where) {
   throw CorruptInputError(where, conn.corrupt_offset(),
@@ -207,24 +162,6 @@ bool RemoteWorker::rpc(const Fields& fields,
   }
 }
 
-[[noreturn]] void RemoteWorker::trial_child(const std::string& key,
-                                            std::uint32_t epoch,
-                                            harness::ExperimentConfig cfg) {
-  // Same hooks the local fork path runs, keyed by the lease epoch so
-  // "crash on first attempt" means the first lease of the item anywhere.
-  maybe_run_trial_chaos_hooks(key, epoch);
-  harness::Sweep sweep(options_.sweep);
-  cfg.threads = 1;  // farm parallelism is process-level
-  const harness::TrialOutcome outcome = sweep.run(cfg);
-  const std::string line = harness::checkpoint_line(key, outcome);
-  if (!append_line_durably(outbox_path(), line)) {
-    std::fprintf(stderr, "remote worker: cannot write %s\n",
-                 outbox_path().c_str());
-    ::_exit(6);
-  }
-  ::_exit(exit_code_for_verdict(outcome.verdict));
-}
-
 bool RemoteWorker::submit_line(const std::string& key, std::uint32_t epoch,
                                const std::string& line, bool from_spool) {
   Fields fields = {{"type", "result"},
@@ -326,6 +263,8 @@ bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
                              const harness::ExperimentConfig& cfg) {
   ++report_.trials;
   ::unlink(outbox_path().c_str());
+  // Built once in this process, the artifacts reach every trial fork.
+  harness::prebuild_shared_artifacts(cfg);
   std::fflush(nullptr);
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -337,7 +276,12 @@ bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
                 {"epoch", std::to_string(epoch)}},
                &response);
   }
-  if (pid == 0) trial_child(key, epoch, cfg);  // never returns
+  if (pid == 0) {
+    // The same trial body local forks run, its hooks keyed by the lease
+    // epoch so "crash on first attempt" means the item's first lease
+    // anywhere.
+    run_trial_process(options_.sweep, key, epoch, cfg, outbox_path());
+  }
 
   // Sleep until the trial exits (its pidfd fires) or the next heartbeat is
   // due; the holder closes the pidfd on every return below.
@@ -383,8 +327,7 @@ bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
     }
   }
 
-  const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  if (code == 0 || code == 2 || code == 3 || code == 4) {
+  if (WIFEXITED(status) && is_recorded_exit(WEXITSTATUS(status))) {
     std::string line;
     {
       std::ifstream in(outbox_path());

@@ -11,10 +11,12 @@
 //     "trial done" and "daemon acked" resubmits the spooled line when it
 //     restarts or reconnects, and the daemon's key-based dedup makes the
 //     resubmission a no-op if the line already landed;
-//   * heartbeats (cadence dictated by the daemon's hello response) renew
-//     the lease watchdog; a "stale" answer means the lease was superseded —
-//     the worker kills its trial fork and moves on rather than burn CPU on
-//     an item that is now someone else's;
+//   * heartbeats (cadence dictated by the daemon's hello response) ask
+//     whether the lease is still current; they do not extend it, since the
+//     daemon's watchdog deadline is fixed at grant. A "stale" answer means
+//     the lease expired or was superseded — the worker kills its trial fork
+//     and moves on rather than burn CPU on an item that is now someone
+//     else's;
 //   * every request carries a monotonic `rid` echoed by the daemon, so a
 //     duplicated or delayed response is recognized and discarded instead of
 //     desynchronizing the request/response stream;
@@ -105,8 +107,6 @@ class RemoteWorker {
   /// Returns false when the daemon became unreachable (ends the run).
   bool run_trial(const std::string& key, std::uint32_t epoch,
                  const harness::ExperimentConfig& cfg);
-  [[noreturn]] void trial_child(const std::string& key, std::uint32_t epoch,
-                                harness::ExperimentConfig cfg);
   bool submit_line(const std::string& key, std::uint32_t epoch,
                    const std::string& line, bool from_spool);
   bool resubmit_spool();

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "farm/test_hooks.h"
 #include "harness/sweep.h"
 #include "support/check.h"
 
@@ -43,6 +44,32 @@ void scan_file(const fs::path& path, ShardScan* scan) {
 
 bool is_shard(const fs::directory_entry& e) {
   return e.is_regular_file() && e.path().extension() == ".jsonl";
+}
+
+bool write_all(int fd, const char* p, std::size_t len) {
+  while (len > 0) {
+    const ssize_t wrote = ::write(fd, p, len);
+    if (wrote <= 0) return false;
+    p += wrote;
+    len -= static_cast<std::size_t>(wrote);
+  }
+  return true;
+}
+
+int exit_code_for_verdict(harness::Verdict v) {
+  switch (v) {
+    case harness::Verdict::Ok:
+    case harness::Verdict::RoundCap:
+    case harness::Verdict::Timeout:
+      return 0;  // recorded, possibly imperfect — but the line is durable
+    case harness::Verdict::Precondition:
+      return 2;
+    case harness::Verdict::Invariant:
+      return 3;
+    case harness::Verdict::AdversaryViolation:
+      return 4;
+  }
+  return 3;
 }
 
 }  // namespace
@@ -107,18 +134,8 @@ ShardScan merge_shards(const std::string& shard_dir,
     // timing relative to the rename.
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     OMX_CHECK(fd >= 0, "merge: cannot create " + tmp);
-    const char* p = merged.data();
-    std::size_t left = merged.size();
-    bool ok = true;
-    while (left > 0 && ok) {
-      const ssize_t wrote = ::write(fd, p, left);
-      ok = wrote > 0;
-      if (ok) {
-        p += wrote;
-        left -= static_cast<std::size_t>(wrote);
-      }
-    }
-    ok = ok && ::fsync(fd) == 0;
+    const bool ok =
+        write_all(fd, merged.data(), merged.size()) && ::fsync(fd) == 0;
     ::close(fd);
     OMX_CHECK(ok, "merge: cannot write " + tmp);
   }
@@ -126,6 +143,41 @@ ShardScan merge_shards(const std::string& shard_dir,
   fs::rename(tmp, out_path, ec);
   OMX_CHECK(!ec, "merge: cannot publish " + out_path + ": " + ec.message());
   return scan;
+}
+
+bool append_line_durably(const std::string& path, const std::string& line) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
+  if (fd < 0) return false;
+  const std::string data = line + "\n";
+  const bool ok = write_all(fd, data.data(), data.size()) && ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
+[[noreturn]] void run_trial_process(const harness::SweepOptions& options,
+                                    const std::string& key,
+                                    std::uint32_t attempt,
+                                    harness::ExperimentConfig cfg,
+                                    const std::string& out_path) {
+  // Keep the fork narrow: run the trial, make its line durable, exit with
+  // the verdict-taxonomy code. _exit (not exit): the parent's atexit state
+  // is not ours to run.
+  maybe_run_trial_chaos_hooks(key, attempt);
+  harness::Sweep sweep(options);
+  // Farm parallelism is process-level, and the engine is bit-identical at
+  // every lane count anyway.
+  cfg.threads = 1;
+  const harness::TrialOutcome outcome = sweep.run(cfg);
+  if (!append_line_durably(out_path, harness::checkpoint_line(key, outcome))) {
+    std::fprintf(stderr, "farm trial: cannot append to %s\n",
+                 out_path.c_str());
+    ::_exit(6);  // undurable result: the lease holder re-runs the item
+  }
+  ::_exit(exit_code_for_verdict(outcome.verdict));
+}
+
+bool is_recorded_exit(int code) {
+  return code == 0 || code == 2 || code == 3 || code == 4;
 }
 
 }  // namespace omx::farm

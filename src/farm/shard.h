@@ -24,11 +24,19 @@
 //     deterministic, such lines are identical, and the merge keeps the
 //     lexicographically smallest so even a pathological divergence merges
 //     deterministically.
+//
+// The writer side lives here too: run_trial_process() is the whole body of
+// a forked trial, the daemon's local workers and the remote worker's trial
+// forks alike, and append_line_durably() is the one durable append every
+// farm file that grows by lines (shards, daemon.jsonl, the remote worker's
+// outbox and spool) goes through.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+
+#include "harness/sweep.h"
 
 namespace omx::farm {
 
@@ -52,5 +60,26 @@ std::size_t repair_shard(const std::string& shard_path);
 /// that silently vanished would void the farm's contract.
 ShardScan merge_shards(const std::string& shard_dir,
                        const std::string& out_path);
+
+/// Append `line` plus a newline to `path` (created if missing) and fsync:
+/// the record is durable before the caller advances its state machine.
+/// Returns false on any I/O failure.
+bool append_line_durably(const std::string& path, const std::string& line);
+
+/// The body of a forked trial process: run the test hooks (test_hooks.h)
+/// for (`key`, `attempt`), run `cfg` on one lane through a Sweep shell with
+/// `options`, append its checkpoint line to `out_path` durably, and _exit
+/// with the worker exit-code protocol: 0 = recorded ok/round_cap/timeout,
+/// 2/3/4 = recorded model violation (the sweep's verdict taxonomy), 6 = the
+/// line could not be made durable.
+[[noreturn]] void run_trial_process(const harness::SweepOptions& options,
+                                    const std::string& key,
+                                    std::uint32_t attempt,
+                                    harness::ExperimentConfig cfg,
+                                    const std::string& out_path);
+
+/// True iff a trial process that exited with `code` recorded its line
+/// (codes 0, 2, 3, 4 above); anything else, a signal included, is a crash.
+bool is_recorded_exit(int code);
 
 }  // namespace omx::farm

@@ -1,6 +1,6 @@
-// Environment-driven chaos hooks shared by the local fork-worker path
-// (farm.cpp) and the remote worker (remote_worker.cpp), so the same test
-// and CI recipes can crash or hang a trial regardless of which transport
+// Environment-driven chaos hooks run by every trial process, local fork or
+// remote worker alike (run_trial_process, shard.cpp), so the same test and
+// CI recipes can crash or hang a trial regardless of which transport
 // leased it. All hooks are inert unless their variable is set:
 //
 //   OMX_FARM_TEST_CRASH_KEY=<key>        SIGKILL the trial process on the

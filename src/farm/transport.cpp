@@ -57,13 +57,6 @@ std::uint64_t get_u64(const char* p) {
          static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
 }
 
-std::uint64_t steady_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// The one concrete connection: framing over any stream fd.
 class FdConn final : public Conn {
  public:
@@ -209,6 +202,13 @@ int make_tcp_socket(const Endpoint& ep, sockaddr_in* addr) {
 }
 
 }  // namespace
+
+std::uint64_t steady_now_ms() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 // ---------------------------------------------------------------------------
 // Endpoint.

@@ -8,8 +8,8 @@
 // supplies the three layers that make that testable:
 //
 //   * Endpoint — "unix:<path>" or "tcp:<host>:<port>" (bare host:port is
-//     TCP), so the daemon's worker port and the status socket share one
-//     address grammar and every protocol above runs unchanged on either
+//     TCP), so the daemon's worker port and its <dir>/farm.sock share one
+//     address grammar and the one protocol above runs unchanged on either
 //     backend;
 //   * framing — each frame is a 16-byte header (magic "OMXF", little-endian
 //     payload length, FNV-1a checksum of the payload) followed by the
@@ -37,6 +37,11 @@
 #include <vector>
 
 namespace omx::farm {
+
+/// Monotonic milliseconds (the steady clock): the one clock behind the
+/// farm's deadlines — receive timeouts here, lease and backoff deadlines
+/// (the daemon's WorkQueue clock), heartbeats and reconnect windows.
+std::uint64_t steady_now_ms();
 
 // ---------------------------------------------------------------------------
 // Endpoints.

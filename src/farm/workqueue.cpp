@@ -92,16 +92,10 @@ std::optional<std::size_t> WorkQueue::find(const std::string& key) const {
   return std::nullopt;
 }
 
-bool WorkQueue::renew(std::size_t index, std::uint32_t epoch) {
-  WorkItem& item = items_.at(index);
-  if (item.state != ItemState::Leased || item.attempts != epoch ||
-      item.watchdog_fired) {
-    return false;
-  }
-  if (options_.watchdog_ms != 0) {
-    item.lease_deadline_ms = now_() + options_.watchdog_ms;
-  }
-  return true;
+bool WorkQueue::lease_current(std::size_t index, std::uint32_t epoch) const {
+  const WorkItem& item = items_.at(index);
+  return item.state == ItemState::Leased && item.attempts == epoch &&
+         !item.watchdog_fired;
 }
 
 std::vector<std::size_t> WorkQueue::expired() {

@@ -5,7 +5,9 @@
 // the farm's failure story stronger than the in-process verdict taxonomy:
 //
 //   * acquire() leases the earliest eligible pending item to a worker slot;
-//     a lease carries a watchdog deadline (now + watchdog_ms);
+//     a lease carries a watchdog deadline (now + watchdog_ms), fixed at
+//     grant: nothing extends it, so a lease held by a local fork and one
+//     held by a heartbeating remote worker end at the same time;
 //   * complete() retires a leased item (its result line is already durable
 //     in a shard before the daemon calls this);
 //   * fail() returns a leased item to the queue — a crashed (signaled) or
@@ -22,11 +24,10 @@
 //
 // Lease epochs: an item's attempt counter doubles as a monotonic lease
 // epoch. Every message a remote worker sends about a lease (heartbeat,
-// trial-failure report) carries the epoch it was granted; renew() and the
-// daemon's handlers compare it against the current attempts so a message
-// from a superseded lease — delayed, duplicated, or from a worker that was
-// presumed dead and re-leased — can never extend or fail the *current*
-// lease. Result submission is deliberately NOT epoch-gated: the engine is
+// trial-failure report) carries the epoch it was granted; lease_current()
+// compares it against the current attempts so a message from a superseded
+// lease — delayed, duplicated, or from a worker that was presumed dead and
+// re-leased — is answered "stale" and can never fail the *current* lease. Result submission is deliberately NOT epoch-gated: the engine is
 // deterministic, so a stale lease's result line is byte-identical to the
 // one the current lease would produce, and accepting it early just saves
 // work (the current lease's own submission then deduplicates).
@@ -73,8 +74,8 @@ struct WorkItem {
 };
 
 struct WorkQueueOptions {
-  /// Lease watchdog: a worker that has not finished within this many ms is
-  /// SIGKILLed and its lease failed. 0 = no watchdog.
+  /// Lease watchdog: a lease not settled within this many ms of its grant
+  /// is failed (a local worker is SIGKILLed first). 0 = no watchdog.
   std::uint64_t watchdog_ms = 0;
   /// Total leases per item (1 = no farm-level retry).
   std::uint32_t max_attempts = 3;
@@ -120,11 +121,11 @@ class WorkQueue {
   /// Index of the item with this key, or nullopt if unknown.
   std::optional<std::size_t> find(const std::string& key) const;
 
-  /// Heartbeat: push the lease deadline out to now + watchdog_ms, but only
-  /// when the item is still leased under the same epoch (attempts count) —
-  /// a heartbeat from a superseded lease must not keep the current one
-  /// alive. Returns false for a stale epoch or a non-leased item.
-  bool renew(std::size_t index, std::uint32_t epoch);
+  /// True iff the item is still leased under `epoch` (its attempts count)
+  /// and its watchdog has not fired: the daemon's answer to a remote
+  /// worker's heartbeat or failure report. Deliberately does not move the
+  /// lease deadline.
+  bool lease_current(std::size_t index, std::uint32_t epoch) const;
 
   /// Indices of leased items whose watchdog deadline has passed (marks
   /// them watchdog_fired so the daemon kills each hung worker once).

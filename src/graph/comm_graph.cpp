@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <mutex>
-#include <string>
 #include <utility>
 
-#include "farm/artifact_cache.h"
 #include "support/check.h"
 #include "support/prng.h"
 
@@ -115,11 +112,6 @@ struct CacheEntry {
   std::shared_ptr<const CommGraph> graph;
 };
 std::atomic<std::uint64_t> shared_builds{0};
-std::atomic<std::uint64_t> shared_disk_loads{0};
-
-std::string graph_cache_key(std::uint32_t n, std::uint32_t delta) {
-  return "graph-n" + std::to_string(n) + "-d" + std::to_string(delta);
-}
 }  // namespace
 
 std::shared_ptr<const CommGraph> CommGraph::common_for_shared(
@@ -137,102 +129,14 @@ std::shared_ptr<const CommGraph> CommGraph::common_for_shared(
   // exactly once per key: concurrent first touches collapse into one build,
   // the losers block here until the graph is ready.
   std::call_once(entry->once, [&] {
-    // Disk layer first: the graph is a pure function of (n, Δ), so any
-    // process that points OMX_ARTIFACT_CACHE at a shared directory (the
-    // farm does, for all its workers) loads the CSR blob instead of
-    // regenerating. A corrupt or unparseable entry falls through to a
-    // rebuild — the cache can cost time, never correctness.
-    if (auto* disk = farm::ArtifactCache::process_cache()) {
-      if (auto blob = disk->get(graph_cache_key(n, delta))) {
-        if (auto g = from_csr_blob(blob->bytes()); g && g->n() == n) {
-          entry->graph = std::make_shared<const CommGraph>(*std::move(g));
-          shared_disk_loads.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-      }
-    }
     entry->graph = std::make_shared<const CommGraph>(common_for(n, delta));
     shared_builds.fetch_add(1, std::memory_order_relaxed);
-    if (auto* disk = farm::ArtifactCache::process_cache()) {
-      const auto blob = entry->graph->to_csr_blob();
-      disk->put(graph_cache_key(n, delta), blob);
-    }
   });
   return entry->graph;
 }
 
 std::uint64_t CommGraph::common_for_shared_builds() {
   return shared_builds.load(std::memory_order_relaxed);
-}
-
-std::uint64_t CommGraph::common_for_shared_disk_loads() {
-  return shared_disk_loads.load(std::memory_order_relaxed);
-}
-
-// --- CSR blob codec (artifact cache payloads) ------------------------------
-//
-// Layout, all little-endian host order (the cache is a per-machine object,
-// not a wire format): u32 n, u32 reserved, u64 num_edges, u32 offsets[n+1],
-// u32 flat[offsets[n]].
-
-std::vector<std::uint8_t> CommGraph::to_csr_blob() const {
-  const std::uint32_t nn = n();
-  const std::uint64_t flat_words = offsets_[nn];
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + (offsets_.size() + flat_words) * sizeof(std::uint32_t));
-  const auto append = [&out](const void* p, std::size_t len) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out.insert(out.end(), b, b + len);
-  };
-  const std::uint32_t reserved = 0;
-  append(&nn, sizeof nn);
-  append(&reserved, sizeof reserved);
-  append(&num_edges_, sizeof num_edges_);
-  append(offsets_.data(), offsets_.size() * sizeof(std::uint32_t));
-  append(flat_.data(), flat_.size() * sizeof(Vertex));
-  return out;
-}
-
-std::optional<CommGraph> CommGraph::from_csr_blob(
-    std::span<const std::uint8_t> blob) {
-  std::size_t pos = 0;
-  const auto read = [&](void* p, std::size_t len) {
-    if (pos + len > blob.size()) return false;
-    std::memcpy(p, blob.data() + pos, len);
-    pos += len;
-    return true;
-  };
-  std::uint32_t n = 0;
-  std::uint32_t reserved = 0;
-  std::uint64_t num_edges = 0;
-  if (!read(&n, sizeof n) || !read(&reserved, sizeof reserved) ||
-      !read(&num_edges, sizeof num_edges)) {
-    return std::nullopt;
-  }
-  CommGraph g;
-  g.offsets_.resize(static_cast<std::size_t>(n) + 1);
-  if (!read(g.offsets_.data(), g.offsets_.size() * sizeof(std::uint32_t)))
-    return std::nullopt;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (g.offsets_[v] > g.offsets_[v + 1]) return std::nullopt;
-  }
-  if (g.offsets_[0] != 0) return std::nullopt;
-  g.flat_.resize(g.offsets_[n]);
-  if (!read(g.flat_.data(), g.flat_.size() * sizeof(Vertex))) {
-    return std::nullopt;
-  }
-  if (pos != blob.size()) return std::nullopt;  // trailing garbage
-  if (g.flat_.size() != 2 * num_edges) return std::nullopt;
-  for (Vertex v = 0; v < n; ++v) {
-    const auto nb = std::span<const Vertex>(g.flat_.data() + g.offsets_[v],
-                                            g.offsets_[v + 1] - g.offsets_[v]);
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      if (nb[i] >= n || nb[i] == v) return std::nullopt;
-      if (i > 0 && nb[i - 1] >= nb[i]) return std::nullopt;
-    }
-  }
-  g.num_edges_ = num_edges;
-  return g;
 }
 
 }  // namespace omx::graph

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <numeric>
-#include <string>
 
-#include "farm/artifact_cache.h"
 #include "support/bits.h"
 #include "support/check.h"
 
@@ -23,24 +20,12 @@ SqrtPartition::SqrtPartition(std::uint32_t n) : n_(n) {
   std::iota(ids_.begin(), ids_.end(), 0u);
 }
 
-SqrtPartition::SqrtPartition(std::uint32_t n, std::uint32_t width,
-                             std::uint32_t num_groups)
-    : n_(n), width_(width), num_groups_(num_groups) {
-  ids_.resize(n);
-  std::iota(ids_.begin(), ids_.end(), 0u);
-}
-
 namespace {
 struct SharedEntry {
   std::once_flag once;
   std::shared_ptr<const SqrtPartition> partition;
 };
 std::atomic<std::uint64_t> shared_builds_count{0};
-std::atomic<std::uint64_t> shared_disk_loads_count{0};
-
-std::string partition_cache_key(std::uint32_t n) {
-  return "sqrtpart-n" + std::to_string(n);
-}
 }  // namespace
 
 std::shared_ptr<const SqrtPartition> SqrtPartition::shared_for(
@@ -54,58 +39,14 @@ std::shared_ptr<const SqrtPartition> SqrtPartition::shared_for(
     entry = &cache[n];
   }
   std::call_once(entry->once, [&] {
-    if (auto* disk = farm::ArtifactCache::process_cache()) {
-      if (auto blob = disk->get(partition_cache_key(n))) {
-        if (auto p = from_blob(blob->bytes()); p && p->n() == n) {
-          entry->partition =
-              std::make_shared<const SqrtPartition>(*std::move(p));
-          shared_disk_loads_count.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-      }
-    }
-    entry->partition = std::make_shared<const SqrtPartition>(SqrtPartition(n));
+    entry->partition = std::make_shared<const SqrtPartition>(n);
     shared_builds_count.fetch_add(1, std::memory_order_relaxed);
-    if (auto* disk = farm::ArtifactCache::process_cache()) {
-      disk->put(partition_cache_key(n), entry->partition->to_blob());
-    }
   });
   return entry->partition;
 }
 
 std::uint64_t SqrtPartition::shared_builds() {
   return shared_builds_count.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SqrtPartition::shared_disk_loads() {
-  return shared_disk_loads_count.load(std::memory_order_relaxed);
-}
-
-std::vector<std::uint8_t> SqrtPartition::to_blob() const {
-  std::vector<std::uint8_t> out(3 * sizeof(std::uint32_t));
-  std::memcpy(out.data(), &n_, sizeof n_);
-  std::memcpy(out.data() + 4, &width_, sizeof width_);
-  std::memcpy(out.data() + 8, &num_groups_, sizeof num_groups_);
-  return out;
-}
-
-std::optional<SqrtPartition> SqrtPartition::from_blob(
-    std::span<const std::uint8_t> blob) {
-  if (blob.size() != 3 * sizeof(std::uint32_t)) return std::nullopt;
-  std::uint32_t n = 0;
-  std::uint32_t width = 0;
-  std::uint32_t num_groups = 0;
-  std::memcpy(&n, blob.data(), sizeof n);
-  std::memcpy(&width, blob.data() + 4, sizeof width);
-  std::memcpy(&num_groups, blob.data() + 8, sizeof num_groups);
-  // Validate the ⌈√n⌉ invariants structurally: width is the least w with
-  // w² ≥ n, and the group count covers exactly n ids.
-  if (n < 1 || width < 1) return std::nullopt;
-  const std::uint64_t w = width;
-  if (w * w < n) return std::nullopt;
-  if (width > 1 && (w - 1) * (w - 1) >= n) return std::nullopt;
-  if (num_groups != ceil_div(n, width)) return std::nullopt;
-  return SqrtPartition(n, width, num_groups);
 }
 
 std::uint32_t SqrtPartition::group_of(std::uint32_t p) const {

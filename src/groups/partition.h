@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -20,23 +19,12 @@ class SqrtPartition {
   /// Memoized decomposition: the partition is a pure function of n, so
   /// repeated trials share one immutable instance (the member table is
   /// O(n)) instead of rebuilding per trial. Thread-safe with per-key once
-  /// semantics, like CommGraph::common_for_shared. When OMX_ARTIFACT_CACHE
-  /// is set, the decomposition descriptor is additionally published
-  /// to / validated against the on-disk artifact cache so farm workers
-  /// agree on one durable artifact per n.
+  /// semantics and inherited by fork(2), like CommGraph::common_for_shared.
   static std::shared_ptr<const SqrtPartition> shared_for(std::uint32_t n);
 
-  /// Lifetime counters for shared_for (built locally vs. loaded from the
-  /// on-disk artifact cache) — test observability.
+  /// Partitions ever constructed by shared_for (not memo hits) — test
+  /// observability.
   static std::uint64_t shared_builds();
-  static std::uint64_t shared_disk_loads();
-
-  /// Decomposition descriptor blob for the artifact cache. from_blob
-  /// validates the ⌈√n⌉ invariants structurally; a blob that fails them
-  /// yields nullopt and cache users treat it as a miss.
-  std::vector<std::uint8_t> to_blob() const;
-  static std::optional<SqrtPartition> from_blob(
-      std::span<const std::uint8_t> blob);
 
   std::uint32_t n() const { return n_; }
   std::uint32_t num_groups() const { return num_groups_; }
@@ -50,9 +38,6 @@ class SqrtPartition {
   std::uint32_t max_group_size() const { return width_; }
 
  private:
-  SqrtPartition(std::uint32_t n, std::uint32_t width,
-                std::uint32_t num_groups);
-
   std::uint32_t n_;
   std::uint32_t width_;       // ⌈√n⌉
   std::uint32_t num_groups_;  // ⌈n / width⌉ <= ⌈√n⌉

@@ -13,8 +13,10 @@
 #include "baselines/flood_set.h"
 #include "core/optimal_core.h"
 #include "core/param_consensus.h"
+#include "graph/comm_graph.h"
 #include "groups/partition.h"
 #include "sim/runner.h"
+#include "support/bits.h"
 #include "support/check.h"
 #include "support/prng.h"
 #include "trace/trace.h"
@@ -200,6 +202,31 @@ std::unique_ptr<sim::Adversary<Msg>> make_adversary(
 }
 
 }  // namespace
+
+void prebuild_shared_artifacts(const ExperimentConfig& cfg) {
+  // Process counts whose graph and partition the trial looks up: Algorithm 1
+  // runs at n; Algorithm 4 gossips over the graph at n and embeds Algorithm 1
+  // in each super-process (all of one width but the last); group-killer
+  // reads the partition at n.
+  std::vector<std::uint32_t> sizes;
+  if (cfg.algo == Algo::Optimal || cfg.algo == Algo::Param ||
+      cfg.attack == Attack::GroupKiller) {
+    sizes.push_back(cfg.n);
+  }
+  if (cfg.algo == Algo::Param && cfg.x >= 1 && cfg.x <= cfg.n) {
+    const auto width = static_cast<std::uint32_t>(ceil_div(cfg.n, cfg.x));
+    const auto last = static_cast<std::uint32_t>(ceil_div(cfg.n, width) - 1);
+    sizes.push_back(width);
+    sizes.push_back(cfg.n - last * width);
+  }
+  for (const std::uint32_t m : sizes) {
+    if (m == 0) continue;
+    (void)groups::SqrtPartition::shared_for(m);
+    if (m >= 2) {
+      (void)graph::CommGraph::common_for_shared(m, cfg.params.delta(m));
+    }
+  }
+}
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // The trace file is created before validation, deliberately: a trial that

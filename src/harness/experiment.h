@@ -119,6 +119,14 @@ struct ExperimentResult {
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
+/// Build, through CommGraph::common_for_shared and SqrtPartition::shared_for,
+/// every per-n graph and partition that run_experiment(config) will look up.
+/// Both memos are inherited by fork(2), so a process that calls this before
+/// forking a trial (the farm daemon and the remote worker do) hands the
+/// trial its artifacts ready-built. Skips what an invalid config would
+/// never reach; run_experiment reports such configs.
+void prebuild_shared_artifacts(const ExperimentConfig& config);
+
 /// Build the input vector for a pattern (exposed for tests).
 std::vector<std::uint8_t> make_inputs(InputPattern pattern, std::uint32_t n,
                                       std::uint64_t seed);

@@ -96,6 +96,14 @@ struct EngineStats {
   unsigned threads = 1;               // resolved worker-lane count
 };
 
+/// Per-source slack bounds promised to the rng ledger for racked rounds:
+/// no single process may draw more than this many calls/bits in one round.
+/// Generous for every protocol here (they draw O(1) calls of <= 64 bits per
+/// process per round); raise them if a protocol draws more and
+/// budget-limited parallel runs start failing loudly.
+inline constexpr std::uint64_t kRngSlackCalls = 64;
+inline constexpr std::uint64_t kRngSlackBits = 4096;
+
 template <class P>
 class Runner {
  public:
@@ -111,13 +119,6 @@ class Runner {
     /// Worker lanes for the computation phase: 1 = serial (default),
     /// 0 = one lane per hardware thread, k = exactly k lanes.
     unsigned threads = 1;
-    /// Per-source slack bounds promised to the rng ledger for racked
-    /// rounds: no single process may draw more than this many calls/bits
-    /// in one round. Generous for every protocol here (they draw O(1)
-    /// calls of <= 64 bits per process per round); raise if a protocol
-    /// draws more and budget-limited parallel runs start failing loudly.
-    std::uint64_t rng_slack_calls = 64;
-    std::uint64_t rng_slack_bits = 4096;
     /// Event-trace sink (trace/trace.h); nullptr = tracing off. The engine
     /// emits every round's events in the canonical order documented there,
     /// so the stream is bit-identical across thread counts. Ignored when
@@ -231,8 +232,7 @@ class Runner {
       plane.begin_round(round);
       const bool sharded =
           lanes_ > 1 &&
-          ledger_->racked_admissible(options_.rng_slack_calls,
-                                     options_.rng_slack_bits);
+          ledger_->racked_admissible(kRngSlackCalls, kRngSlackBits);
       if (sharded) {
         ledger_->begin_racked_phase();
         pool_->run([&](unsigned w) {
@@ -252,8 +252,7 @@ class Runner {
         // Shard order == ascending process-id order: the wire ends up
         // byte-identical to a serial round.
         plane.stitch(bank_ptrs_[round & 1]);
-        ledger_->end_racked_phase(options_.rng_slack_calls,
-                                  options_.rng_slack_bits);
+        ledger_->end_racked_phase(kRngSlackCalls, kRngSlackBits);
       } else {
         for (ProcessId p = 0; p < n_; ++p) {
           RoundIo<P> io(round, p, &plane, &plane.log(), &ledger_->source(p));

@@ -33,7 +33,7 @@ class AdversaryViolation : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
-/// Thrown when an *input file* (a .trace, a .repro, a cache entry handed to
+/// Thrown when an *input file* (a .trace, a .repro, a checkpoint handed to
 /// a CLI) is unreadable or fails validation. Derives from PreconditionError
 /// so existing "bad input throws" contracts keep holding, but carries the
 /// path and the byte offset of the first bad record so tools can report

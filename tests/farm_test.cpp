@@ -23,6 +23,7 @@
 
 #include "farm/farm.h"
 #include "farm/shard.h"
+#include "farm/transport.h"
 #include "farm/workqueue.h"
 #include "harness/sweep.h"
 #include "support/check.h"
@@ -66,7 +67,6 @@ FarmOptions fast_opts(const fs::path& dir) {
   o.workers = 3;
   o.backoff_base_ms = 1;
   o.serve_socket = false;
-  o.use_artifact_cache = false;
   o.sweep.capture_repro = false;
   o.sweep.capture_trace = false;
   return o;
@@ -157,6 +157,27 @@ TEST(WorkQueue, ReportsABackoffThatEndedAfterAcquireSkippedIt) {
   EXPECT_TRUE(q.has_eligible());
   EXPECT_TRUE(q.acquire(0, 2).has_value());
   EXPECT_FALSE(q.has_eligible());  // leased, so no longer pending
+}
+
+TEST(WorkQueue, HeartbeatsDoNotMoveTheLeaseDeadline) {
+  // A remote worker heartbeats its lease; the deadline stays where the
+  // grant put it, so a trial that hangs ends at the watchdog like a local
+  // fork's would.
+  std::uint64_t now = 0;
+  WorkQueueOptions o;
+  o.watchdog_ms = 100;
+  WorkQueue q(o, [&] { return now; });
+  ASSERT_TRUE(q.add("k", tiny(1)));
+  const auto idx = q.acquire(0, -1);
+  ASSERT_TRUE(idx.has_value());
+  for (now = 0; now < 100; now += 30) {
+    EXPECT_TRUE(q.lease_current(*idx, 1)) << "at " << now << " ms";
+    EXPECT_FALSE(q.lease_current(*idx, 2));  // not this lease's epoch
+  }
+  EXPECT_EQ(q.item(*idx).lease_deadline_ms, 100u);
+  now = 100;
+  EXPECT_EQ(q.expired(), std::vector<std::size_t>{*idx});
+  EXPECT_FALSE(q.lease_current(*idx, 1));  // the holder now hears "stale"
 }
 
 TEST(WorkQueue, RejectsDuplicateKeysAndUnknownResumes) {
@@ -467,11 +488,12 @@ TEST(Farm, ResumesFromShardsAndToleratesTornTails) {
 }
 
 // ---------------------------------------------------------------------------
-// The status/results socket.
+// <dir>/farm.sock: the framed protocol's clients.
 
 TEST(FarmSocket, QueryWithoutADaemonThrowsPrecondition) {
   const fs::path dir = scratch("no_daemon");
-  EXPECT_THROW(Farm::query(dir.string(), "status"), PreconditionError);
+  EXPECT_THROW(Farm::query(Farm::socket_endpoint_for(dir.string()), "status"),
+               PreconditionError);
 }
 
 TEST(FarmSocket, ServesStatusAndResultsWhileRunning) {
@@ -493,11 +515,12 @@ TEST(FarmSocket, ServesStatusAndResultsWhileRunning) {
   }
   ::unsetenv("OMX_FARM_TEST_HANG_KEY");
 
+  const Endpoint socket = Farm::socket_endpoint_for((dir / "farm").string());
   std::string status;
   for (int i = 0; i < 250 && status.find("\"leased\":1") == std::string::npos;
        ++i) {
     try {
-      status = Farm::query((dir / "farm").string(), "status");
+      status = Farm::query(socket, "status");
     } catch (const PreconditionError&) {
       // Socket not up yet.
     }
@@ -520,15 +543,76 @@ TEST(FarmSocket, ServesStatusAndResultsWhileRunning) {
     EXPECT_LE(util, 1.0) << status;
   }
 
-  const std::string results = Farm::query((dir / "farm").string(), "results");
+  const std::string results = Farm::query(socket, "results");
   EXPECT_EQ(results, "");  // nothing durable yet — the only item hangs
 
-  const std::string bogus = Farm::query((dir / "farm").string(), "frobnicate");
+  const std::string bogus = Farm::query(socket, "frobnicate");
   EXPECT_NE(bogus.find("unknown request"), std::string::npos) << bogus;
 
   ::kill(daemon_pid, SIGKILL);
   int ignored = 0;
   ::waitpid(daemon_pid, &ignored, 0);
+}
+
+TEST(FarmSocket, FollowStreamsEveryMergedLineOnceThenEnd) {
+  const fs::path dir = scratch("follow");
+  // The first lease of seed 2's item hangs until the 300 ms watchdog kills
+  // it, which holds the farm open long enough to subscribe; the re-lease
+  // then runs clean, so the merge covers every item.
+  ::setenv("OMX_FARM_TEST_HANG_KEY",
+           (harness::config_key(tiny(2)) + ":once").c_str(), 1);
+  const pid_t daemon_pid = ::fork();
+  ASSERT_GE(daemon_pid, 0);
+  if (daemon_pid == 0) {
+    FarmOptions opts = fast_opts(dir / "farm");
+    opts.serve_socket = true;
+    opts.workers = 2;
+    opts.watchdog_ms = 300;
+    Farm farm(opts);
+    for (std::uint64_t s = 1; s <= 4; ++s) farm.add(tiny(s));
+    ::_exit(farm.run().all_ok() ? 0 : 1);
+  }
+  ::unsetenv("OMX_FARM_TEST_HANG_KEY");
+
+  const Endpoint socket = Farm::socket_endpoint_for((dir / "farm").string());
+  std::vector<std::string> streamed;
+  bool ended = false;
+  for (int i = 0; i < 250 && !ended; ++i) {
+    try {
+      ended = Farm::follow(socket, [&](const std::string& line) {
+        streamed.push_back(line);
+      });
+      break;
+    } catch (const PreconditionError&) {
+      ::usleep(10 * 1000);  // socket not up yet
+    }
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(daemon_pid, &status, 0), daemon_pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  EXPECT_TRUE(ended) << "the stream must finish with \"end\"";
+  // Every line exactly once: the sorted stream is merged.jsonl itself
+  // (canonical key order, one line per key).
+  std::sort(streamed.begin(), streamed.end());
+  const auto merged = sorted_lines(dir / "farm" / "merged.jsonl");
+  EXPECT_EQ(merged.size(), 4u);
+  EXPECT_EQ(streamed, merged);
+}
+
+TEST(FarmSocket, OverlongSocketPathRunsWithoutTheEndpoint) {
+  // farm.sock would exceed the AF_UNIX path limit: the farm warns and runs
+  // without it instead of failing.
+  const fs::path dir = scratch("overlong") / std::string(120, 'd');
+  FarmOptions opts = fast_opts(dir);
+  opts.serve_socket = true;
+  Farm farm(opts);
+  for (std::uint64_t s = 1; s <= 2; ++s) ASSERT_TRUE(farm.add(tiny(s)));
+  FarmReport report;
+  ASSERT_NO_THROW(report = farm.run());
+  EXPECT_TRUE(report.all_ok());
+  EXPECT_EQ(report.done, 2u);
 }
 
 }  // namespace

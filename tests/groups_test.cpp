@@ -51,6 +51,15 @@ TEST(Partition, OutOfRangeQueriesThrow) {
   EXPECT_THROW(part.group_size(part.num_groups()), PreconditionError);
 }
 
+TEST(PartitionShared, MemoizesPerN) {
+  const std::uint64_t builds_before = SqrtPartition::shared_builds();
+  const auto a = SqrtPartition::shared_for(36);
+  const auto b = SqrtPartition::shared_for(36);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(a->n(), 36u);
+  EXPECT_LE(SqrtPartition::shared_builds(), builds_before + 1);
+}
+
 class TreeInvariants : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(TreeInvariants, LayersPartitionAndMerge) {

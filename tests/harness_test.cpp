@@ -6,6 +6,8 @@
 #include <string>
 
 #include "core/params.h"
+#include "graph/comm_graph.h"
+#include "groups/partition.h"
 #include "harness/experiment.h"
 #include "rng/ledger.h"
 #include "support/check.h"
@@ -151,6 +153,33 @@ std::string precondition_message(const ExperimentConfig& cfg) {
     return e.what();
   }
   return "";
+}
+
+TEST(Harness, PrebuiltArtifactsLeaveTheTrialNothingToBuild) {
+  // The farm calls prebuild_shared_artifacts before each fork so trials
+  // inherit their graph and partition: a trial run after it must build
+  // neither. Param's super-processes (17, 17, 16 at n=50, x=3) run
+  // Algorithm 1 at their own sizes; group-killer reads the partition at n.
+  std::vector<ExperimentConfig> cfgs(4);
+  cfgs[0].algo = Algo::Optimal;
+  cfgs[0].attack = Attack::RandomOmission;
+  cfgs[1].algo = Algo::Param;
+  cfgs[1].x = 3;
+  cfgs[2].algo = Algo::FloodSet;
+  cfgs[2].attack = Attack::GroupKiller;
+  cfgs[3].algo = Algo::BenOr;
+  for (ExperimentConfig& cfg : cfgs) {
+    cfg.n = 50;
+    cfg.t = 4;
+    prebuild_shared_artifacts(cfg);
+    const std::uint64_t graphs = graph::CommGraph::common_for_shared_builds();
+    const std::uint64_t partitions = groups::SqrtPartition::shared_builds();
+    EXPECT_TRUE(run_experiment(cfg).ok()) << to_string(cfg.algo);
+    EXPECT_EQ(graph::CommGraph::common_for_shared_builds(), graphs)
+        << to_string(cfg.algo);
+    EXPECT_EQ(groups::SqrtPartition::shared_builds(), partitions)
+        << to_string(cfg.algo);
+  }
 }
 
 TEST(HarnessValidation, RejectsFaultBudgetAtLeastN) {

@@ -69,7 +69,6 @@ FarmOptions remote_only_opts(const fs::path& dir) {
   o.listen = "tcp:127.0.0.1:0";
   o.backoff_base_ms = 1;
   o.serve_socket = false;
-  o.use_artifact_cache = false;
   o.sweep.capture_repro = false;
   o.sweep.capture_trace = false;
   return o;
@@ -380,6 +379,61 @@ TEST(RemoteFarm, UnixEndpointRunsTheSameProtocol) {
   EXPECT_EQ(wait_exit(w0), 0);
   EXPECT_EQ(report.remote_results, 3u);
   EXPECT_EQ(sorted_lines(report.merged_path), sorted_lines(dir / "ref.jsonl"));
+}
+
+TEST(RemoteFarm, WatchdogEndsAHeartbeatingLeaseThatHangs) {
+  // The first lease of seed 2's item hangs in the worker's trial fork while
+  // the worker keeps heartbeating (every watchdog/3). The lease deadline is
+  // fixed at grant, so the watchdog still fails it; the worker's next
+  // heartbeat hears "stale", it kills the fork, and the re-lease runs
+  // clean. The daemon runs in a child: one whose heartbeats kept the lease
+  // alive would never finish, and fails here at the deadline instead.
+  const fs::path dir = scratch("remote_watchdog");
+  write_reference(dir / "ref.jsonl", 3);
+  FarmOptions opts = remote_only_opts(dir / "farm");
+  opts.listen = "unix:" + (dir / "workers.sock").string();
+  opts.watchdog_ms = 300;
+  const fs::path counts = dir / "counts.txt";
+
+  const pid_t daemon = ::fork();
+  ASSERT_GE(daemon, 0);
+  if (daemon == 0) {
+    Farm farm(opts);
+    for (std::uint64_t s = 1; s <= 3; ++s) farm.add(tiny(s));
+    const FarmReport report = farm.run();
+    std::ofstream(counts) << report.watchdog_kills << ' ' << report.done
+                          << ' ' << report.failed << '\n';
+    ::_exit(0);
+  }
+  ::setenv("OMX_FARM_TEST_HANG_KEY",
+           (harness::config_key(tiny(2)) + ":once").c_str(), 1);
+  const pid_t worker = spawn_worker(opts.dir, dir / "w0", "w0");
+  ::unsetenv("OMX_FARM_TEST_HANG_KEY");
+
+  int status = 0;
+  pid_t reaped = 0;
+  for (int i = 0; i < 1500 && reaped == 0; ++i) {  // 15 s
+    reaped = ::waitpid(daemon, &status, WNOHANG);
+    if (reaped == 0) ::usleep(10 * 1000);
+  }
+  if (reaped == 0) {
+    ::kill(daemon, SIGKILL);
+    ::kill(worker, SIGKILL);  // its hung trial exits once it is orphaned
+    ::waitpid(daemon, &status, 0);
+    ::waitpid(worker, &status, 0);
+    FAIL() << "the farm did not finish within 15 s: the watchdog never "
+              "ended the heartbeating lease";
+  }
+  EXPECT_EQ(wait_exit(worker), 0);
+  std::size_t watchdog_kills = 0;
+  std::size_t done = 0;
+  std::size_t failed = 0;
+  std::ifstream(counts) >> watchdog_kills >> done >> failed;
+  EXPECT_EQ(watchdog_kills, 1u);
+  EXPECT_EQ(done, 3u);
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(sorted_lines(dir / "farm" / "merged.jsonl"),
+            sorted_lines(dir / "ref.jsonl"));
 }
 
 TEST(RemoteFarm, CrashAfterSpoolWriteResubmitsWithoutADuplicateRow) {

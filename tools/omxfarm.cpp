@@ -10,14 +10,13 @@
 //   omxfarm results --dir farm --follow # stream lines as they merge
 //   omxfarm results --dir farm --artifacts  # repro/trace paths per key
 //   omxfarm merge   --dir farm          # offline shard merge (no daemon)
-//   omxfarm warm    --dir farm --n 64,128,256   # pre-build cached artifacts
 //
 // `serve` is `run` with remote-first defaults: no local workers unless
 // asked, a listen endpoint for `omxfarm work --connect` processes (the
 // resolved address — port 0 is allowed — is published to <dir>/endpoint),
 // and a lease watchdog on by default because remote workers fail silently.
-// `status`/`results` also accept --connect to query a daemon over its
-// worker endpoint instead of the local Unix socket.
+// `status`/`results` speak the framed protocol to <dir>/farm.sock, or with
+// --connect to a daemon's worker endpoint; both serve the same verbs.
 //
 // `run` expands the sweep grid (each --n × each seed) into config-hash-keyed
 // work items and drives them through farm::Farm: every item runs in a
@@ -37,25 +36,17 @@
 // offset) — bad bytes are refused, never acted on; 7 = retry budget
 // exhausted for at least one item (synthetic outcome recorded so
 // merged.jsonl still covers the full grid).
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/params.h"
-#include "farm/artifact_cache.h"
 #include "farm/farm.h"
 #include "farm/remote_worker.h"
 #include "farm/shard.h"
 #include "farm/transport.h"
-#include "graph/comm_graph.h"
-#include "groups/partition.h"
 #include "harness/experiment.h"
 #include "harness/sweep.h"
 #include "support/check.h"
@@ -148,8 +139,8 @@ int cmd_run(int argc, char** argv, bool serve) {
                   "tcp:<host>:<port>, port 0 = kernel-assigned; resolved "
                   "address published to <dir>/endpoint)");
   args.add_option("watchdog-ms", serve ? "15000" : "0",
-                  "lease watchdog: SIGKILL a worker past this deadline "
-                  "(0 = none)");
+                  "lease watchdog: fail a lease this long after its grant "
+                  "and kill its trial, local or remote (0 = none)");
   // Long enough to cover several worker response-resend windows (750 ms
   // each): a lossy link can drop the "done" answer repeatedly, and a worker
   // that never hears it burns its whole reconnect deadline on a dead
@@ -168,7 +159,6 @@ int cmd_run(int argc, char** argv, bool serve) {
   args.add_option("repro-dir", "", "directory for crash-repro captures "
                   "(default <dir>/repro)");
   args.add_flag("no-socket", "do not serve <dir>/farm.sock");
-  args.add_flag("no-cache", "do not point OMX_ARTIFACT_CACHE at <dir>/cache");
   add_grid_flags(&args);
   if (!args.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n\n%s", args.error().c_str(),
@@ -192,7 +182,6 @@ int cmd_run(int argc, char** argv, bool serve) {
   opts.backoff_base_ms =
       static_cast<std::uint64_t>(args.get_int("backoff-ms"));
   opts.serve_socket = !args.flag("no-socket");
-  opts.use_artifact_cache = !args.flag("no-cache");
   opts.sweep.repro_dir = args.get("repro-dir").empty()
                              ? opts.dir + "/repro"
                              : args.get("repro-dir");
@@ -246,96 +235,6 @@ int cmd_run(int argc, char** argv, bool serve) {
   return 0;
 }
 
-/// Stream "follow" over the raw Unix status socket: print every merged
-/// line as the daemon pushes it, until the terminal "end". Exit 1 when the
-/// daemon vanishes mid-stream (EOF without "end").
-int raw_follow(const std::string& dir) {
-  const std::string path = farm::Farm::socket_path_for(dir);
-  sockaddr_un addr{};
-  OMX_REQUIRE(path.size() < sizeof(addr.sun_path),
-              "farm: socket path too long: " + path);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  OMX_REQUIRE(fd >= 0, "farm: cannot create socket");
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
-    throw PreconditionError("farm: no daemon listening at " + path + ": " +
-                            std::strerror(errno));
-  }
-  const char request[] = "follow\n";
-  (void)::send(fd, request, sizeof request - 1, 0);
-  std::string buffer;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-    if (got <= 0) break;  // EOF without "end": the daemon died
-    buffer.append(chunk, static_cast<std::size_t>(got));
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (line == "end") {
-        ::close(fd);
-        return 0;
-      }
-      std::printf("%s\n", line.c_str());
-      std::fflush(stdout);
-    }
-  }
-  ::close(fd);
-  return 1;
-}
-
-/// Query a daemon over its framed worker endpoint (--connect). A corrupt
-/// frame throws CorruptInputError → exit 5 with the byte offset, same as a
-/// corrupt checkpoint file.
-int framed_query(const std::string& connect, const std::string& verb,
-                 bool follow) {
-  auto conn = farm::dial(farm::Endpoint::parse(connect));
-  OMX_REQUIRE(conn != nullptr, "cannot connect to " + connect);
-  const auto check_corrupt = [&](farm::RecvStatus st) {
-    if (st == farm::RecvStatus::Corrupt) {
-      throw CorruptInputError(connect, conn->corrupt_offset(),
-                              "transport frame: " + conn->corrupt_detail());
-    }
-  };
-  OMX_REQUIRE(conn->send(farm::wire::encode(
-                  {{"type", follow ? "follow" : verb}, {"rid", "1"}})),
-              "cannot send request to " + connect);
-  for (;;) {
-    std::string payload;
-    const farm::RecvStatus st = conn->recv(&payload, follow ? 1000 : 5000);
-    check_corrupt(st);
-    if (st == farm::RecvStatus::Timeout) {
-      if (follow) continue;  // a quiet farm is still a live farm
-      std::fprintf(stderr, "farm: no response from %s\n", connect.c_str());
-      return 1;
-    }
-    if (st == farm::RecvStatus::Closed) return follow ? 1 : 2;
-    std::map<std::string, std::string> msg;
-    if (!farm::wire::decode(payload, &msg)) continue;
-    const std::string type = farm::wire::get(msg, "type");
-    if (follow) {
-      if (type == "line") {
-        std::printf("%s\n", farm::wire::get(msg, "line").c_str());
-        std::fflush(stdout);
-      } else if (type == "end") {
-        return 0;
-      }
-      continue;  // the "ok" subscription ack, or stray frames
-    }
-    if (farm::wire::get(msg, "rid") != "1") continue;
-    if (verb == "results") {
-      std::fputs(farm::wire::get(msg, "lines").c_str(), stdout);
-    } else {
-      std::printf("%s\n", farm::wire::get(msg, "json").c_str());
-    }
-    return 0;
-  }
-}
-
 int cmd_query(int argc, char** argv, const std::string& request) {
   ArgParser args("omxfarm " + request, "query a running farm daemon");
   args.add_option("dir", "farm", "farm state directory");
@@ -365,12 +264,21 @@ int cmd_query(int argc, char** argv, const std::string& request) {
       verb = "artifacts";
     }
   }
-  if (!args.get("connect").empty()) {
-    return framed_query(args.get("connect"), verb, follow);
+  const farm::Endpoint ep =
+      args.get("connect").empty()
+          ? farm::Farm::socket_endpoint_for(args.get("dir"))
+          : farm::Endpoint::parse(args.get("connect"));
+  if (follow) {
+    // Exit 1 when the daemon vanishes mid-stream (no "end").
+    return farm::Farm::follow(ep,
+                              [](const std::string& line) {
+                                std::printf("%s\n", line.c_str());
+                                std::fflush(stdout);
+                              })
+               ? 0
+               : 1;
   }
-  if (follow) return raw_follow(args.get("dir"));
-  const std::string response = farm::Farm::query(args.get("dir"), verb);
-  std::fputs(response.c_str(), stdout);
+  std::fputs(farm::Farm::query(ep, verb).c_str(), stdout);
   return 0;
 }
 
@@ -451,34 +359,6 @@ int cmd_merge(int argc, char** argv) {
   return 0;
 }
 
-int cmd_warm(int argc, char** argv) {
-  ArgParser args("omxfarm warm",
-                 "pre-build the per-n artifacts (comm graph CSR, sqrt-n "
-                 "partition) into <dir>/cache so a cold farm starts hot");
-  args.add_option("dir", "farm", "farm state directory");
-  args.add_option("n", "128", "comma-separated process counts");
-  args.add_option("params", "practical", "practical | paper constants");
-  if (!args.parse(argc, argv)) {
-    std::fprintf(stderr, "error: %s\n\n%s", args.error().c_str(),
-                 args.usage().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.usage().c_str(), stdout);
-    return 0;
-  }
-  ::setenv("OMX_ARTIFACT_CACHE", (args.get("dir") + "/cache").c_str(), 0);
-  const core::Params params = args.get("params") == "paper"
-                                  ? core::Params::paper()
-                                  : core::Params::practical();
-  for (const std::uint32_t n : parse_n_list(args.get("n"))) {
-    (void)graph::CommGraph::common_for_shared(n, params.delta(n));
-    (void)groups::SqrtPartition::shared_for(n);
-    std::fprintf(stderr, "warmed n=%u (delta=%u)\n", n, params.delta(n));
-  }
-  return 0;
-}
-
 int run_main(int argc, char** argv) {
   const std::string cmd = argc >= 2 ? argv[1] : "";
   // Re-point argv[1] at the program name so ArgParser sees `omxfarm <cmd>`
@@ -489,9 +369,8 @@ int run_main(int argc, char** argv) {
   if (cmd == "status") return cmd_query(argc - 1, argv + 1, "status");
   if (cmd == "results") return cmd_query(argc - 1, argv + 1, "results");
   if (cmd == "merge") return cmd_merge(argc - 1, argv + 1);
-  if (cmd == "warm") return cmd_warm(argc - 1, argv + 1);
   std::fprintf(stderr,
-               "usage: omxfarm <run|serve|work|status|results|merge|warm> "
+               "usage: omxfarm <run|serve|work|status|results|merge> "
                "[flags]\n"
                "       omxfarm <cmd> --help for per-command flags\n");
   return cmd.empty() || cmd == "--help" || cmd == "-h" ? (cmd.empty() ? 2 : 0)
