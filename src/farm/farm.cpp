@@ -261,6 +261,16 @@ void Farm::reap_worker(std::size_t slot, bool blocking) {
   }
 }
 
+void Farm::fail_abandoned_leases(const RemotePeer& peer) {
+  if (options_.watchdog_ms != 0) return;
+  for (const auto& [index, epoch] : peer.leases) {
+    if (!queue_.lease_current(index, epoch)) continue;
+    ++report_.abandoned_leases;
+    const WorkItem item = queue_.item(index);
+    if (!queue_.fail(index)) record_exhausted(item, false);
+  }
+}
+
 void Farm::kill_expired_leases() {
   for (const std::size_t index : queue_.expired()) {
     bool held_by_local_fork = false;
@@ -419,6 +429,10 @@ std::string Farm::handle_request(
       return reply({{"type", "idle"}, {"poll_ms", std::to_string(poll_ms)}});
     }
     const WorkItem& item = queue_.item(*index);
+    std::erase_if(peer->leases, [this](const auto& lease) {
+      return !queue_.lease_current(lease.first, lease.second);
+    });
+    peer->leases.emplace_back(*index, item.attempts);
     return reply({{"type", "lease"},
                   {"key", item.key},
                   {"epoch", std::to_string(item.attempts)},
@@ -500,7 +514,7 @@ void Farm::pump_remote(Remote* remote) {
       ++report_.corrupt_frames;
       std::fprintf(stderr,
                    "farm: dropping connection%s: %s at byte offset %llu — "
-                   "its lease, if any, expires via the watchdog\n",
+                   "its lease, if any, is re-queued\n",
                    remote->peer.name.empty()
                        ? ""
                        : (" from " + remote->peer.name).c_str(),
@@ -620,6 +634,9 @@ void Farm::pump_events(int timeout_ms) {
     if (slots_[slot].pid != -1 && slots_[slot].pidfd.fd() < 0) {
       reap_worker(slot, /*blocking=*/false);
     }
+  }
+  for (const Remote& remote : remotes_) {
+    if (remote.conn->fd() < 0) fail_abandoned_leases(remote.peer);
   }
   std::erase_if(remotes_,
                 [](const Remote& r) { return r.conn->fd() < 0; });

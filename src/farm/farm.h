@@ -64,11 +64,15 @@
 //   connection severed→ the worker reconnects with capped exponential
 //                       backoff and resumes its in-flight trial; the
 //                       daemon's lease watchdog re-queues items whose
-//                       workers stay silent past the deadline.
+//                       workers stay silent past the deadline. With no
+//                       watchdog, nothing else would ever end such a
+//                       lease, so the daemon fails it when its
+//                       connection closes (abandoned_leases).
 //   frame corrupted   → the transport checksum rejects it; the daemon
-//                       drops the connection (the lease watchdog recovers
-//                       the item), the worker exits 5 (CorruptInputError
-//                       with the byte offset) rather than act on bad bytes.
+//                       drops the connection (the lease watchdog, or with
+//                       none the close, recovers the item), the worker
+//                       exits 5 (CorruptInputError with the byte offset)
+//                       rather than act on bad bytes.
 //   daemon killed     → durable shard lines survive; a restarted daemon
 //                       rescans them while live workers finish in-flight
 //                       trials, reconnect, and resubmit — dedup by key
@@ -83,6 +87,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "farm/pidfd.h"
@@ -143,6 +148,9 @@ struct FarmReport {
   std::size_t late_results = 0;         // results for already-settled items
   std::size_t rejected_results = 0;     // unparseable/mismatched lines
   std::size_t remote_failures = 0;      // worker-reported trial crashes
+  /// Remote leases failed because their connection closed while no
+  /// watchdog was set to end them.
+  std::size_t abandoned_leases = 0;
   std::size_t corrupt_frames = 0;       // transport checksum rejections
   /// Worker exit-code histogram (0 ok-recorded, 2/3/4 the PR 4 taxonomy).
   std::map<int, std::uint64_t> exit_codes;
@@ -190,6 +198,9 @@ class Farm {
     std::string name;     // from hello
     bool follow = false;  // subscribed to the merged-line stream
     std::set<std::string> sent_keys;  // follow: lines already pushed
+    /// (item index, epoch) of the leases granted on this connection that
+    /// were still current at its last grant.
+    std::vector<std::pair<std::size_t, std::uint32_t>> leases;
   };
   std::string handle_request(const std::map<std::string, std::string>& msg,
                              RemotePeer* peer);
@@ -241,6 +252,10 @@ class Farm {
   /// and settle its lease from the exit status.
   void reap_worker(std::size_t slot, bool blocking);
   void kill_expired_leases();
+  /// Fail the leases a closed connection still holds, when no watchdog is
+  /// set (with one, the watchdog ends them and the worker may reconnect
+  /// and finish first).
+  void fail_abandoned_leases(const RemotePeer& peer);
   void record_exhausted(const WorkItem& item, bool hung);
   /// How long the loop may block: 0 while a free slot could lease an
   /// item now, else until the next lease or backoff deadline, -1 (no

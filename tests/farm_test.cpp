@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,9 +17,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "farm/farm.h"
@@ -613,6 +617,108 @@ TEST(FarmSocket, OverlongSocketPathRunsWithoutTheEndpoint) {
   ASSERT_NO_THROW(report = farm.run());
   EXPECT_TRUE(report.all_ok());
   EXPECT_EQ(report.done, 2u);
+}
+
+TEST(FarmSocket, SocketIsRemovedWhenTheRunEnds) {
+  const fs::path dir = scratch("socket_gone");
+  FarmOptions opts = fast_opts(dir);
+  opts.serve_socket = true;
+  Farm farm(opts);
+  for (std::uint64_t s = 1; s <= 2; ++s) ASSERT_TRUE(farm.add(tiny(s)));
+  EXPECT_TRUE(farm.run().all_ok());
+  EXPECT_FALSE(fs::exists(dir / "farm.sock"));
+  EXPECT_THROW(Farm::query(Farm::socket_endpoint_for(dir.string()), "status"),
+               PreconditionError);
+}
+
+// The clients against a stand-in daemon that answers badly.
+
+/// Serve one client on `listener` from a thread: read its request frame,
+/// record the request type, then let `respond` write the answer.
+std::thread serve_one(Listener* listener, std::string* request_type,
+                      std::function<void(Conn*)> respond) {
+  return std::thread([=] {
+    const auto conn = listener->accept(5000);
+    if (!conn) return;
+    std::string payload;
+    std::map<std::string, std::string> msg;
+    if (conn->recv(&payload, 5000) != RecvStatus::Ok ||
+        !wire::decode(payload, &msg)) {
+      return;
+    }
+    *request_type = wire::get(msg, "type");
+    respond(conn.get());
+  });
+}
+
+void send_raw(Conn* conn, const std::string& bytes) {
+  ASSERT_EQ(::send(conn->fd(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+TEST(FarmSocket, QueryThrowsCorruptInputAtTheBadFramesOffset) {
+  // A frame that is not a protocol message is skipped; the bad frame after
+  // it is reported at its own first byte (16-byte header + payload on).
+  const fs::path dir = scratch("corrupt_answer");
+  Listener listener(Farm::socket_endpoint_for(dir.string()));
+  const std::string skipped = "not a message";
+  std::string request;
+  std::thread daemon = serve_one(&listener, &request, [&](Conn* conn) {
+    ASSERT_TRUE(conn->send(skipped));
+    send_raw(conn, "XXXXGARBAGEGARBAGE");
+  });
+  std::optional<CorruptInputError> error;
+  try {
+    Farm::query(listener.endpoint(), "status");
+  } catch (const CorruptInputError& e) {
+    error = e;
+  }
+  daemon.join();
+  EXPECT_EQ(request, "status");
+  ASSERT_TRUE(error.has_value()) << "a corrupt frame must throw";
+  EXPECT_EQ(error->byte_offset(), 16 + skipped.size());
+  EXPECT_EQ(error->path(), listener.endpoint().to_string());
+}
+
+TEST(FarmSocket, QueryAnsweredByAHangUpThrowsPrecondition) {
+  const fs::path dir = scratch("hangup_answer");
+  Listener listener(Farm::socket_endpoint_for(dir.string()));
+  std::string request;
+  std::thread daemon = serve_one(&listener, &request, [](Conn* conn) {
+    conn->close();
+  });
+  std::string what;
+  bool corrupt = false;
+  try {
+    Farm::query(listener.endpoint(), "results");
+  } catch (const CorruptInputError&) {
+    corrupt = true;
+  } catch (const PreconditionError& e) {
+    what = e.what();
+  }
+  daemon.join();
+  EXPECT_EQ(request, "results");
+  EXPECT_FALSE(corrupt) << "a hang-up is a missing answer, not bad bytes";
+  EXPECT_NE(what.find("no answer"), std::string::npos) << what;
+}
+
+TEST(FarmSocket, FollowReturnsFalseWhenTheDaemonHangsUpBeforeEnd) {
+  const fs::path dir = scratch("hangup_follow");
+  Listener listener(Farm::socket_endpoint_for(dir.string()));
+  std::string request;
+  std::thread daemon = serve_one(&listener, &request, [](Conn* conn) {
+    ASSERT_TRUE(conn->send(wire::encode({{"type", "ok"}, {"rid", "1"}})));
+    ASSERT_TRUE(conn->send(wire::encode({{"type", "line"}, {"line", "L1"}})));
+    conn->close();
+  });
+  std::vector<std::string> lines;
+  const bool ended = Farm::follow(
+      listener.endpoint(),
+      [&](const std::string& line) { lines.push_back(line); });
+  daemon.join();
+  EXPECT_EQ(request, "follow");
+  EXPECT_FALSE(ended) << "only the daemon's \"end\" finishes a stream";
+  EXPECT_EQ(lines, std::vector<std::string>{"L1"});
 }
 
 }  // namespace

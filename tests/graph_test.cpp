@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/comm_graph.h"
@@ -260,6 +261,26 @@ TEST(SharedCache, ConcurrentFirstTouchBuildsExactlyOnce) {
   const auto again = CommGraph::common_for_shared(n, delta);
   EXPECT_EQ(again.get(), got[0].get());
   EXPECT_EQ(CommGraph::common_for_shared_builds(), builds_before + 1);
+}
+
+TEST(SharedCache, SharedGraphIsTheGraphCommonForBuilds) {
+  // The memo hands out exactly the graph a fresh common_for(n, Δ) builds:
+  // a trial that inherits it from the farm daemon reads the same edges it
+  // would have generated itself.
+  for (const auto& [n, delta] : {std::pair<std::uint32_t, std::uint32_t>{2, 1},
+                                {97, 13},
+                                {300, 25}}) {
+    const auto shared = CommGraph::common_for_shared(n, delta);
+    const CommGraph fresh = CommGraph::common_for(n, delta);
+    ASSERT_EQ(shared->n(), fresh.n());
+    EXPECT_EQ(shared->num_edges(), fresh.num_edges()) << "n=" << n;
+    for (Vertex v = 0; v < n; ++v) {
+      const auto a = shared->neighbors(v);
+      const auto b = fresh.neighbors(v);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "n=" << n << " vertex " << v;
+    }
+  }
 }
 
 }  // namespace

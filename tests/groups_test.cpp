@@ -60,6 +60,21 @@ TEST(PartitionShared, MemoizesPerN) {
   EXPECT_LE(SqrtPartition::shared_builds(), builds_before + 1);
 }
 
+TEST(PartitionShared, MatchesAFreshPartition) {
+  for (const std::uint32_t n : {1u, 2u, 36u, 37u, 1000u}) {
+    const auto shared = SqrtPartition::shared_for(n);
+    const SqrtPartition fresh(n);
+    ASSERT_EQ(shared->n(), n);
+    EXPECT_EQ(shared->num_groups(), fresh.num_groups()) << "n=" << n;
+    EXPECT_EQ(shared->max_group_size(), fresh.max_group_size()) << "n=" << n;
+    for (std::uint32_t p = 0; p < n; ++p) {
+      ASSERT_EQ(shared->group_of(p), fresh.group_of(p)) << "n=" << n;
+      ASSERT_EQ(shared->index_in_group(p), fresh.index_in_group(p))
+          << "n=" << n;
+    }
+  }
+}
+
 class TreeInvariants : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(TreeInvariants, LayersPartitionAndMerge) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/params.h"
 #include "graph/comm_graph.h"
@@ -179,6 +180,61 @@ TEST(Harness, PrebuiltArtifactsLeaveTheTrialNothingToBuild) {
         << to_string(cfg.algo);
     EXPECT_EQ(groups::SqrtPartition::shared_builds(), partitions)
         << to_string(cfg.algo);
+  }
+}
+
+TEST(Harness, PrebuildBuildsNothingForTrialsThatLookUpNothing) {
+  // The farm calls the helper before every fork, so it must not build what
+  // the trial never reads: the baselines, under every attack but
+  // group-killer, use neither a graph nor a partition — and the trial
+  // confirms it by building nothing either.
+  for (const Algo algo : {Algo::FloodSet, Algo::BenOr}) {
+    for (const Attack attack :
+         {Attack::None, Attack::StaticCrash, Attack::RandomOmission,
+          Attack::SendOmission, Attack::SplitBrain, Attack::Chaos}) {
+      ExperimentConfig cfg;
+      cfg.algo = algo;
+      cfg.attack = attack;
+      cfg.n = 53;
+      cfg.t = 5;
+      const std::uint64_t graphs = graph::CommGraph::common_for_shared_builds();
+      const std::uint64_t partitions = groups::SqrtPartition::shared_builds();
+      prebuild_shared_artifacts(cfg);
+      EXPECT_EQ(graph::CommGraph::common_for_shared_builds(), graphs)
+          << to_string(algo) << "/" << to_string(attack);
+      EXPECT_EQ(groups::SqrtPartition::shared_builds(), partitions)
+          << to_string(algo) << "/" << to_string(attack);
+      EXPECT_TRUE(run_experiment(cfg).ok())
+          << to_string(algo) << "/" << to_string(attack);
+      EXPECT_EQ(graph::CommGraph::common_for_shared_builds(), graphs)
+          << to_string(algo) << "/" << to_string(attack);
+      EXPECT_EQ(groups::SqrtPartition::shared_builds(), partitions)
+          << to_string(algo) << "/" << to_string(attack);
+    }
+  }
+}
+
+TEST(Harness, PrebuildLeavesInvalidConfigsToTheTrial) {
+  // The daemon prebuilds before it forks; a config the trial will reject
+  // must reach the trial (which records the rejection), so the helper must
+  // not throw on it.
+  std::vector<ExperimentConfig> cfgs(4);
+  cfgs[0].algo = Algo::Optimal;
+  cfgs[0].n = 0;
+  cfgs[1].algo = Algo::Param;
+  cfgs[1].n = 64;
+  cfgs[1].x = 0;
+  cfgs[2].algo = Algo::Param;
+  cfgs[2].n = 8;
+  cfgs[2].x = 9;
+  cfgs[3].algo = Algo::Optimal;
+  cfgs[3].n = 8;
+  cfgs[3].t = 8;
+  for (const ExperimentConfig& cfg : cfgs) {
+    EXPECT_NO_THROW(prebuild_shared_artifacts(cfg))
+        << "n=" << cfg.n << " x=" << cfg.x << " t=" << cfg.t;
+    EXPECT_FALSE(precondition_message(cfg).empty())
+        << "n=" << cfg.n << " x=" << cfg.x << " t=" << cfg.t;
   }
 }
 

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -432,6 +433,111 @@ TEST(RemoteFarm, WatchdogEndsAHeartbeatingLeaseThatHangs) {
   EXPECT_EQ(watchdog_kills, 1u);
   EXPECT_EQ(done, 3u);
   EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(sorted_lines(dir / "farm" / "merged.jsonl"),
+            sorted_lines(dir / "ref.jsonl"));
+}
+
+/// Counters of a farm run whose first lease goes to a client that hangs up
+/// holding it.
+struct AbandonedRun {
+  bool finished = false;  // the daemon ended within the deadline
+  std::string leased_key;
+  std::size_t abandoned_leases = 0;
+  std::size_t watchdog_kills = 0;
+  std::size_t done = 0;
+  std::size_t failed = 0;
+};
+
+/// A daemon (in a child, with a 15 s deadline) serves 3 items to remote
+/// workers only. A client takes the first lease over farm.sock — the
+/// clients' socket, which answers the lease verbs too — and closes; then a
+/// real worker runs the grid.
+AbandonedRun run_with_abandoned_lease(const fs::path& dir,
+                                      std::uint64_t watchdog_ms) {
+  write_reference(dir / "ref.jsonl", 3);
+  FarmOptions opts = remote_only_opts(dir / "farm");
+  opts.listen = "unix:" + (dir / "workers.sock").string();
+  opts.serve_socket = true;
+  opts.watchdog_ms = watchdog_ms;
+  const fs::path counts = dir / "counts.txt";
+
+  AbandonedRun out;
+  const pid_t daemon = ::fork();
+  if (daemon < 0) return out;
+  if (daemon == 0) {
+    Farm farm(opts);
+    for (std::uint64_t s = 1; s <= 3; ++s) farm.add(tiny(s));
+    const FarmReport report = farm.run();
+    std::ofstream(counts) << report.abandoned_leases << ' '
+                          << report.watchdog_kills << ' ' << report.done
+                          << ' ' << report.failed << '\n';
+    ::_exit(0);
+  }
+  const Endpoint socket = Farm::socket_endpoint_for(opts.dir);
+  for (int i = 0; i < 500 && out.leased_key.empty(); ++i) {
+    const auto conn = dial(socket);
+    if (!conn) {
+      ::usleep(10 * 1000);  // socket not up yet
+      continue;
+    }
+    std::string payload;
+    std::map<std::string, std::string> msg;
+    if (conn->send(wire::encode({{"type", "next"}, {"rid", "1"}})) &&
+        conn->recv(&payload, 2000) == RecvStatus::Ok &&
+        wire::decode(payload, &msg) && wire::get(msg, "type") == "lease") {
+      out.leased_key = wire::get(msg, "key");
+    }
+  }  // the connection closes here, its lease unsettled
+  const pid_t worker = spawn_worker(opts.dir, dir / "w0", "w0");
+
+  int status = 0;
+  pid_t reaped = 0;
+  for (int i = 0; i < 1500 && reaped == 0; ++i) {  // 15 s
+    reaped = ::waitpid(daemon, &status, WNOHANG);
+    if (reaped == 0) ::usleep(10 * 1000);
+  }
+  if (reaped == 0) {
+    ::kill(daemon, SIGKILL);
+    ::kill(worker, SIGKILL);
+    ::waitpid(daemon, &status, 0);
+    ::waitpid(worker, &status, 0);
+    return out;
+  }
+  out.finished = wait_exit(worker) == 0;
+  std::ifstream(counts) >> out.abandoned_leases >> out.watchdog_kills >>
+      out.done >> out.failed;
+  return out;
+}
+
+TEST(RemoteFarm, ClosedConnectionFailsItsLeaseWhenNoWatchdogIsSet) {
+  // Without a watchdog nothing else would ever end the abandoned lease:
+  // the daemon fails it when the connection closes, and the worker runs
+  // the re-queued item.
+  const fs::path dir = scratch("abandoned_no_watchdog");
+  const AbandonedRun run = run_with_abandoned_lease(dir, 0);
+  EXPECT_EQ(run.leased_key, harness::config_key(tiny(1)));
+  ASSERT_TRUE(run.finished)
+      << "the farm did not finish within 15 s: the abandoned lease stayed "
+         "leased";
+  EXPECT_EQ(run.abandoned_leases, 1u);
+  EXPECT_EQ(run.watchdog_kills, 0u);
+  EXPECT_EQ(run.done, 3u);
+  EXPECT_EQ(run.failed, 0u);
+  EXPECT_EQ(sorted_lines(dir / "farm" / "merged.jsonl"),
+            sorted_lines(dir / "ref.jsonl"));
+}
+
+TEST(RemoteFarm, ClosedConnectionLeavesItsLeaseToTheWatchdog) {
+  // With a watchdog the lease outlives its connection (a severed worker
+  // may reconnect and finish it); the watchdog ends it instead.
+  const fs::path dir = scratch("abandoned_watchdog");
+  const AbandonedRun run = run_with_abandoned_lease(dir, 300);
+  EXPECT_EQ(run.leased_key, harness::config_key(tiny(1)));
+  ASSERT_TRUE(run.finished) << "the farm did not finish within 15 s";
+  EXPECT_EQ(run.abandoned_leases, 0u);
+  EXPECT_EQ(run.watchdog_kills, 1u);
+  EXPECT_EQ(run.done, 3u);
+  EXPECT_EQ(run.failed, 0u);
   EXPECT_EQ(sorted_lines(dir / "farm" / "merged.jsonl"),
             sorted_lines(dir / "ref.jsonl"));
 }

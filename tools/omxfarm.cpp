@@ -215,15 +215,16 @@ int cmd_run(int argc, char** argv, bool serve) {
                report.crashed_workers, report.watchdog_kills,
                report.torn_shard_lines, report.wall_ms / 1000.0,
                report.trials_per_s(), utilization.c_str());
-  if (report.remote_workers_seen > 0 || report.corrupt_frames > 0) {
+  if (report.remote_workers_seen > 0 || report.corrupt_frames > 0 ||
+      report.abandoned_leases > 0) {
     std::fprintf(stderr,
                  "farm: %zu remote hello(s): %zu results over the wire "
                  "(%zu duplicate, %zu late, %zu rejected), %zu reported "
-                 "crashes, %zu corrupt frame(s)\n",
+                 "crashes, %zu abandoned lease(s), %zu corrupt frame(s)\n",
                  report.remote_workers_seen, report.remote_results,
                  report.duplicate_results, report.late_results,
                  report.rejected_results, report.remote_failures,
-                 report.corrupt_frames);
+                 report.abandoned_leases, report.corrupt_frames);
   }
   std::printf("%s\n", report.merged_path.c_str());
   if (!report.all_ok()) return 7;
