@@ -22,8 +22,8 @@
 // and every later improvement is a real empirical gain over the paper's
 // hand-derived attack.
 //
-// State checkpointing mirrors the sweep subsystem's discipline: a key=value
-// file written atomically (tmp + rename) every few iterations, embedding
+// State checkpointing: a key=value file replaced atomically
+// (support::publish_file: tmp + fsync + rename) every few iterations, embedding
 // the base config via serialize_config; a torn or hand-mangled state file
 // is CorruptInputError — exit 5 with a byte offset, like every other
 // corrupt input in this codebase.
@@ -81,7 +81,7 @@ class Search {
   /// Resume from options().state_path. Returns false if the file does not
   /// exist; throws CorruptInputError (with a byte offset) if it is torn.
   bool load_state();
-  /// Atomically persist the search state (tmp + rename).
+  /// Atomically persist the search state (support::publish_file).
   void save_state() const;
 
   /// Iterate from the current iteration to options().iterations,

@@ -12,13 +12,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <utility>
 
 #include "farm/shard.h"
 #include "support/check.h"
+#include "support/durable_file.h"
 
 namespace omx::farm {
 
@@ -46,41 +46,6 @@ std::string json_fixed(double value, int decimals) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
   return buf;
-}
-
-/// Publish small metadata files (the resolved endpoint, the artifacts
-/// index) atomically: temp + rename, so a reader never sees a torn file.
-bool publish_file(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << content;
-    out.flush();
-    if (!out) return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  return !ec;
-}
-
-std::string json_escape_min(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -127,10 +92,6 @@ std::string Farm::shard_path(int slot) const {
 
 std::string Farm::daemon_shard_path() const {
   return shard_dir() + "/daemon.jsonl";
-}
-
-std::string Farm::remote_shard_path() const {
-  return shard_dir() + "/remote.jsonl";
 }
 
 Endpoint Farm::socket_endpoint_for(const std::string& dir) {
@@ -195,10 +156,10 @@ void Farm::record_exhausted(const WorkItem& item, bool hung) {
                          "budget exhausted)";
   // The synthetic line keeps the merged results total: every queued key
   // appears exactly once even when its trial never managed to record
-  // itself. daemon.jsonl sits beside the worker shards so the merge picks
-  // it up like any other.
-  if (!append_line_durably(daemon_shard_path(),
-                           harness::checkpoint_line(item.key, outcome))) {
+  // itself. daemon.jsonl, the daemon's one log, sits beside the worker
+  // shards so the merge picks it up like any other.
+  if (!support::append_line_durably(
+          daemon_shard_path(), harness::checkpoint_line(item.key, outcome))) {
     std::fprintf(stderr, "farm: cannot record exhausted item %s\n",
                  item.key.c_str());
   }
@@ -314,7 +275,8 @@ std::string Farm::status_json() const {
     os << (slot == 0 ? "" : ",") << json_fixed(clocked.utilization(slot), 3);
   }
   os << "],\"listen\":\""
-     << (worker_listener_ ? worker_listener_->endpoint().to_string() : "")
+     << harness::json_escape(
+            worker_listener_ ? worker_listener_->endpoint().to_string() : "")
      << "\"}";
   return os.str();
 }
@@ -382,9 +344,9 @@ bool Farm::accept_result(const std::string& key, const std::string& line,
                  key.c_str());
     return false;
   }
-  if (!append_line_durably(remote_shard_path(), line)) {
+  if (!support::append_line_durably(daemon_shard_path(), line)) {
     std::fprintf(stderr, "farm: cannot append remote result to %s\n",
-                 remote_shard_path().c_str());
+                 daemon_shard_path().c_str());
     return false;  // no ack: the worker keeps its spool copy and retries
   }
   queue_.mark_done(key);
@@ -652,12 +614,13 @@ std::string Farm::artifacts_json() const {
   for (const auto& [key, fields] : artifacts_) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << key << "\":{";
+    os << "\"" << harness::json_escape(key) << "\":{";
     bool inner_first = true;
     for (const auto& [k, v] : fields) {
       if (!inner_first) os << ",";
       inner_first = false;
-      os << "\"" << k << "\":\"" << json_escape_min(v) << "\"";
+      os << "\"" << harness::json_escape(k) << "\":\""
+         << harness::json_escape(v) << "\"";
     }
     os << "}";
   }
@@ -681,7 +644,7 @@ void Farm::write_artifacts_index() {
       artifacts_[key]["trace"] = stem + ".trace";
     }
   }
-  if (!publish_file(artifacts_path(), artifacts_json() + "\n")) {
+  if (!support::publish_file(artifacts_path(), artifacts_json() + "\n")) {
     std::fprintf(stderr, "farm: cannot publish %s\n",
                  artifacts_path().c_str());
   }
@@ -710,8 +673,8 @@ FarmReport Farm::run() {
         std::make_unique<Listener>(Endpoint::parse(options_.listen));
     // Publish the resolved endpoint (port 0 → real port) for scripts and
     // workers that only know the farm directory.
-    publish_file(endpoint_path_for(options_.dir),
-                 worker_listener_->endpoint().to_string() + "\n");
+    support::publish_file(endpoint_path_for(options_.dir),
+                          worker_listener_->endpoint().to_string() + "\n");
   }
 
   while (!queue_.all_settled()) {
@@ -805,7 +768,7 @@ std::string Farm::query(const Endpoint& ep, const std::string& request) {
   if (type == "status" || type == "artifacts") {
     return wire::get(msg, "json") + "\n";
   }
-  return "{\"error\":\"" + json_escape_min(wire::get(msg, "detail")) +
+  return "{\"error\":\"" + harness::json_escape(wire::get(msg, "detail")) +
          "\"}\n";
 }
 

@@ -240,7 +240,6 @@ class Farm {
   std::string shard_dir() const { return options_.dir + "/shards"; }
   std::string shard_path(int slot) const;
   std::string daemon_shard_path() const;
-  std::string remote_shard_path() const;
   std::string merged_path() const { return options_.dir + "/merged.jsonl"; }
   std::string artifacts_path() const {
     return options_.dir + "/merged.artifacts.json";

@@ -17,6 +17,7 @@
 #include "farm/shard.h"
 #include "farm/test_hooks.h"
 #include "support/check.h"
+#include "support/durable_file.h"
 
 namespace omx::farm {
 
@@ -184,7 +185,6 @@ bool RemoteWorker::submit_line(const std::string& key, std::uint32_t epoch,
     if (!rpc(fields, &response)) return false;  // spool keeps the line
     const std::string type = wire::get(response, "type");
     if (type == "ok") {
-      spool_drop(line);
       if (from_spool) {
         ++report_.resubmitted;
       } else {
@@ -197,7 +197,6 @@ bool RemoteWorker::submit_line(const std::string& key, std::uint32_t epoch,
       // refused it: re-sending the same bytes cannot help.
       std::fprintf(stderr, "remote worker: daemon rejected result for %s\n",
                    key.c_str());
-      spool_drop(line);
       return true;
     }
     // "retry": transient daemon-side trouble (e.g. its shard append
@@ -209,60 +208,39 @@ bool RemoteWorker::submit_line(const std::string& key, std::uint32_t epoch,
   }
 }
 
-void RemoteWorker::spool_drop(const std::string& line) {
-  std::ifstream in(spool_path());
-  std::vector<std::string> keep;
-  std::string existing;
-  bool dropped = false;
-  while (std::getline(in, existing)) {
-    if (!dropped && existing == line) {
-      dropped = true;  // drop exactly one copy
-      continue;
-    }
-    keep.push_back(existing);
-  }
-  in.close();
-  const std::string tmp = spool_path() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    for (const auto& l : keep) out << l << "\n";
-    out.flush();
-    if (!out) return;  // keep the old spool; a resubmission dedups anyway
-  }
+void RemoteWorker::empty_spool() {
   std::error_code ec;
-  fs::rename(tmp, spool_path(), ec);
+  fs::resize_file(spool_path(), 0, ec);  // no spool yet is empty too
 }
 
 bool RemoteWorker::resubmit_spool() {
-  // A worker killed mid-append leaves a torn tail; the shard repairer
-  // understands this exact format.
-  repair_shard(spool_path());
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(spool_path());
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty()) lines.push_back(line);
-    }
-  }
-  for (const auto& line : lines) {
-    std::string key;
-    harness::TrialOutcome outcome;
-    if (!harness::parse_checkpoint_line(line, &key, &outcome)) {
-      spool_drop(line);  // repair should have caught this; belt and braces
-      continue;
-    }
+  // A trial killed mid-append leaves a torn tail: keep the whole lines.
+  std::vector<std::pair<std::string, std::string>> spooled;  // key, line
+  std::size_t torn = 0;
+  support::repair_lines(
+      spool_path(),
+      [&](const std::string& line) {
+        std::string key;
+        harness::TrialOutcome outcome;
+        if (!harness::parse_checkpoint_line(line, &key, &outcome)) {
+          return false;
+        }
+        spooled.emplace_back(key, line);
+        return true;
+      },
+      &torn);
+  for (const auto& [key, line] : spooled) {
     // Epoch 0: the granting lease is long gone, but result submission is
     // key-based by design — the daemon dedups if the line already landed.
     if (!submit_line(key, 0, line, /*from_spool=*/true)) return false;
   }
+  empty_spool();
   return true;
 }
 
 bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
                              const harness::ExperimentConfig& cfg) {
   ++report_.trials;
-  ::unlink(outbox_path().c_str());
   // Built once in this process, the artifacts reach every trial fork.
   harness::prebuild_shared_artifacts(cfg);
   std::fflush(nullptr);
@@ -279,8 +257,8 @@ bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
   if (pid == 0) {
     // The same trial body local forks run, its hooks keyed by the lease
     // epoch so "crash on first attempt" means the item's first lease
-    // anywhere.
-    run_trial_process(options_.sweep, key, epoch, cfg, outbox_path());
+    // anywhere. Its line lands durably in the spool, empty until now.
+    run_trial_process(options_.sweep, key, epoch, cfg, spool_path());
   }
 
   // Sleep until the trial exits (its pidfd fires) or the next heartbeat is
@@ -311,6 +289,7 @@ bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
         // trial running against a farm that no longer exists.
         ::kill(pid, SIGKILL);
         ::waitpid(pid, &status, 0);
+        empty_spool();
         return false;
       }
       ++report_.heartbeats;
@@ -321,6 +300,7 @@ bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
         ++report_.stale_leases;
         ::kill(pid, SIGKILL);
         ::waitpid(pid, &status, 0);
+        empty_spool();
         return true;
       }
       next_heartbeat = steady_now_ms() + heartbeat_ms_;
@@ -330,26 +310,24 @@ bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
   if (WIFEXITED(status) && is_recorded_exit(WEXITSTATUS(status))) {
     std::string line;
     {
-      std::ifstream in(outbox_path());
+      std::ifstream in(spool_path());
       std::getline(in, line);
     }
     std::string parsed_key;
     harness::TrialOutcome outcome;
-    if (!line.empty() &&
-        harness::parse_checkpoint_line(line, &parsed_key, &outcome) &&
+    if (harness::parse_checkpoint_line(line, &parsed_key, &outcome) &&
         parsed_key == key) {
-      // Durable-before-submit: the spool copy survives any crash between
-      // here and the daemon's ack, and the restarted worker resubmits it.
-      if (!append_line_durably(spool_path(), line)) {
-        std::fprintf(stderr, "remote worker: cannot spool result for %s\n",
-                     key.c_str());
-        return true;  // lease will expire; the item re-runs elsewhere
-      }
+      // Durable before submit: the fork fsynced the line into the spool,
+      // so it survives any crash between here and the daemon's ack, and
+      // the restarted worker resubmits it.
       if (crash_after_write_hook_hits(key)) ::_exit(9);
-      return submit_line(key, epoch, line, /*from_spool=*/false);
+      if (!submit_line(key, epoch, line, /*from_spool=*/false)) return false;
+      empty_spool();
+      return true;
     }
-    // Exit said "recorded" but the outbox disagrees — treat as a crash.
+    // Exit said "recorded" but the spool disagrees — treat as a crash.
   }
+  empty_spool();
   std::map<std::string, std::string> response;
   if (!rpc({{"type", "fail"}, {"key", key}, {"epoch", std::to_string(epoch)}},
            &response)) {

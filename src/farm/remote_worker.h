@@ -6,11 +6,15 @@
 // line over the wire. Its crash-safety contract mirrors the local shard
 // story, adapted to a lossy link:
 //
-//   * every completed trial's line is appended durably to a local spool
-//     (<dir>/pending.jsonl) BEFORE the submit RPC — a worker killed between
-//     "trial done" and "daemon acked" resubmits the spooled line when it
-//     restarts or reconnects, and the daemon's key-based dedup makes the
-//     resubmission a no-op if the line already landed;
+//   * the trial fork appends its line durably (write + fsync) straight
+//     into the worker's spool (<dir>/pending.jsonl), which is empty
+//     whenever a trial starts, and the worker submits the line it finds
+//     there — a worker killed between "trial done" and "daemon acked"
+//     resubmits the spooled line when it restarts, and the daemon's
+//     key-based dedup makes the resubmission a no-op if the line already
+//     landed. The worker empties (truncates) the spool once the daemon
+//     acks or rejects the line, when the trial did not record, and when a
+//     stale or unreachable heartbeat killed the trial;
 //   * heartbeats (cadence dictated by the daemon's hello response) ask
 //     whether the lease is still current; they do not extend it, since the
 //     daemon's watchdog deadline is fixed at grant. A "stale" answer means
@@ -48,7 +52,7 @@ struct RemoteWorkerOptions {
   /// Daemon worker endpoint ("unix:<path>", "tcp:<host>:<port>", or bare
   /// host:port).
   std::string endpoint;
-  /// Worker state directory: pending.jsonl spool, trial outbox, repro/.
+  /// Worker state directory: the pending.jsonl result spool, repro/.
   std::string dir;
   /// Name reported in hello and attached to submitted artifacts.
   std::string name;
@@ -95,7 +99,6 @@ class RemoteWorker {
   using Fields = std::vector<std::pair<std::string, std::string>>;
 
   std::string spool_path() const { return options_.dir + "/pending.jsonl"; }
-  std::string outbox_path() const { return options_.dir + "/outbox.jsonl"; }
 
   bool ensure_connected();
   void drop_conn();
@@ -107,10 +110,15 @@ class RemoteWorker {
   /// Returns false when the daemon became unreachable (ends the run).
   bool run_trial(const std::string& key, std::uint32_t epoch,
                  const harness::ExperimentConfig& cfg);
+  /// Submit one result line until the daemon acks or rejects it (true)
+  /// or stays unreachable (false; the spool keeps the line).
   bool submit_line(const std::string& key, std::uint32_t epoch,
                    const std::string& line, bool from_spool);
+  /// Startup: resubmit every whole line a previous run left in the spool,
+  /// then empty it. False when the daemon stayed unreachable.
   bool resubmit_spool();
-  void spool_drop(const std::string& line);
+  /// Truncate the spool: its line is settled, or the trial left none.
+  void empty_spool();
 
   RemoteWorkerOptions options_;
   Endpoint endpoint_;

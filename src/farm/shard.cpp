@@ -1,18 +1,15 @@
 #include "farm/shard.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
-#include <vector>
 
 #include "farm/test_hooks.h"
 #include "harness/sweep.h"
 #include "support/check.h"
+#include "support/durable_file.h"
 
 namespace omx::farm {
 
@@ -46,14 +43,10 @@ bool is_shard(const fs::directory_entry& e) {
   return e.is_regular_file() && e.path().extension() == ".jsonl";
 }
 
-bool write_all(int fd, const char* p, std::size_t len) {
-  while (len > 0) {
-    const ssize_t wrote = ::write(fd, p, len);
-    if (wrote <= 0) return false;
-    p += wrote;
-    len -= static_cast<std::size_t>(wrote);
-  }
-  return true;
+bool is_checkpoint_line(const std::string& line) {
+  std::string key;
+  harness::TrialOutcome outcome;
+  return harness::parse_checkpoint_line(line, &key, &outcome);
 }
 
 int exit_code_for_verdict(harness::Verdict v) {
@@ -84,34 +77,10 @@ ShardScan scan_shards(const std::string& shard_dir) {
 }
 
 std::size_t repair_shard(const std::string& shard_path) {
-  std::ifstream in(shard_path, std::ios::binary);
-  if (!in) return 0;
-  std::string kept;
   std::size_t dropped = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string key;
-    harness::TrialOutcome outcome;
-    if (harness::parse_checkpoint_line(line, &key, &outcome)) {
-      kept += line;
-      kept += '\n';
-    } else {
-      ++dropped;
-    }
-  }
-  in.close();
+  OMX_CHECK(support::repair_lines(shard_path, is_checkpoint_line, &dropped),
+            "shard repair: cannot publish " + shard_path);
   if (dropped == 0) return 0;
-  const std::string tmp = shard_path + ".repair";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << kept;
-    out.flush();
-    OMX_CHECK(static_cast<bool>(out), "shard repair: cannot write " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, shard_path, ec);
-  OMX_CHECK(!ec, "shard repair: cannot publish " + shard_path + ": " +
-                     ec.message());
   std::fprintf(stderr,
                "farm: shard %s: dropped %zu torn line(s) left by a killed "
                "worker — the affected trial(s) re-run\n",
@@ -127,31 +96,9 @@ ShardScan merge_shards(const std::string& shard_dir,
     merged += line;
     merged += '\n';
   }
-  const std::string tmp = out_path + ".tmp";
-  {
-    // write(2) + fsync rather than ofstream: the merged file is the farm's
-    // final product, so its durability must not depend on libc flush
-    // timing relative to the rename.
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    OMX_CHECK(fd >= 0, "merge: cannot create " + tmp);
-    const bool ok =
-        write_all(fd, merged.data(), merged.size()) && ::fsync(fd) == 0;
-    ::close(fd);
-    OMX_CHECK(ok, "merge: cannot write " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, out_path, ec);
-  OMX_CHECK(!ec, "merge: cannot publish " + out_path + ": " + ec.message());
+  OMX_CHECK(support::publish_file(out_path, merged),
+            "merge: cannot publish " + out_path);
   return scan;
-}
-
-bool append_line_durably(const std::string& path, const std::string& line) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd < 0) return false;
-  const std::string data = line + "\n";
-  const bool ok = write_all(fd, data.data(), data.size()) && ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
 }
 
 [[noreturn]] void run_trial_process(const harness::SweepOptions& options,
@@ -168,7 +115,8 @@ bool append_line_durably(const std::string& path, const std::string& line) {
   // every lane count anyway.
   cfg.threads = 1;
   const harness::TrialOutcome outcome = sweep.run(cfg);
-  if (!append_line_durably(out_path, harness::checkpoint_line(key, outcome))) {
+  if (!support::append_line_durably(out_path,
+                                    harness::checkpoint_line(key, outcome))) {
     std::fprintf(stderr, "farm trial: cannot append to %s\n",
                  out_path.c_str());
     ::_exit(6);  // undurable result: the lease holder re-runs the item

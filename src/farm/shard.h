@@ -2,10 +2,12 @@
 //
 // Every farm worker appends finished-trial lines (harness::checkpoint_line
 // format — the same record a single-process Sweep checkpoints) to its own
-// shard file `<shards>/worker-<slot>.jsonl`, one write(2) per line, then
-// exits. The daemon never writes a worker's shard; the only multi-writer
-// file in the farm is therefore *no* file, which is most of the
-// crash-safety argument:
+// shard file `<shards>/worker-<slot>.jsonl`, one durable append per line
+// (support/durable_file.h), then exits. The daemon appends only to its own
+// log, `<shards>/daemon.jsonl` (remote workers' results and synthetic
+// outcomes), and never writes a worker's shard; the only multi-writer file
+// in the farm is therefore *no* file, which is most of the crash-safety
+// argument:
 //
 //   * a SIGKILL'd worker leaves at most one torn final line in its own
 //     shard — scan_shards() drops it (the item's lease burns and it
@@ -18,18 +20,17 @@
 //     are, and the deterministic engine re-produces any line that was
 //     mid-write at kill time;
 //   * merge_shards() publishes `merged.jsonl` — all lines, deduplicated by
-//     config-hash key and sorted canonically (by key), written
-//     to-temp + fsync + rename. Duplicates can only arise from a worker
-//     killed between its write and its exit; the engine being
+//     config-hash key and sorted canonically (by key), through the atomic
+//     publish (temp + fsync + rename). Duplicates can only arise from a
+//     worker killed between its write and its exit; the engine being
 //     deterministic, such lines are identical, and the merge keeps the
 //     lexicographically smallest so even a pathological divergence merges
 //     deterministically.
 //
 // The writer side lives here too: run_trial_process() is the whole body of
 // a forked trial, the daemon's local workers and the remote worker's trial
-// forks alike, and append_line_durably() is the one durable append every
-// farm file that grows by lines (shards, daemon.jsonl, the remote worker's
-// outbox and spool) goes through.
+// forks alike. It appends the trial's line to a worker shard or, in a
+// remote worker, straight into that worker's spool.
 #pragma once
 
 #include <cstdint>
@@ -50,21 +51,16 @@ struct ShardScan {
 /// Parse every `*.jsonl` file under `shard_dir` (missing dir = empty scan).
 ShardScan scan_shards(const std::string& shard_dir);
 
-/// Rewrite one shard file keeping only its parseable lines (atomic
-/// temp + rename). No-op if the file is missing or already clean. Returns
-/// the number of lines dropped.
+/// Rewrite one shard file keeping only its parseable lines
+/// (support::repair_lines). No-op if the file is missing or already clean.
+/// Returns the number of lines dropped.
 std::size_t repair_shard(const std::string& shard_path);
 
 /// Merge all shards into `out_path` (canonical order, deduplicated,
-/// temp + fsync + rename). Throws InvariantError on I/O failure — a merge
+/// published atomically). Throws InvariantError on I/O failure — a merge
 /// that silently vanished would void the farm's contract.
 ShardScan merge_shards(const std::string& shard_dir,
                        const std::string& out_path);
-
-/// Append `line` plus a newline to `path` (created if missing) and fsync:
-/// the record is durable before the caller advances its state machine.
-/// Returns false on any I/O failure.
-bool append_line_durably(const std::string& path, const std::string& line);
 
 /// The body of a forked trial process: run the test hooks (test_hooks.h)
 /// for (`key`, `attempt`), run `cfg` on one lane through a Sweep shell with

@@ -9,10 +9,11 @@
 //                                        daemon/worker dies (every attempt,
 //                                        or only the first with ":once")
 //   OMX_FARM_TEST_CRASH_AFTER_WRITE_KEY=<key>
-//                                        remote worker only: _exit(9) after
-//                                        the result line is durable in the
-//                                        local spool but before it is
-//                                        submitted/acked — the
+//                                        remote worker only: _exit(9) once
+//                                        the trial fork has made the result
+//                                        line durable in the worker's spool
+//                                        and the worker has read it, before
+//                                        it is submitted/acked — the
 //                                        duplicate-submission oracle (a
 //                                        restarted worker must resubmit and
 //                                        the daemon must not grow a second
@@ -53,7 +54,8 @@ inline void maybe_run_trial_chaos_hooks(const std::string& key,
 }
 
 /// True iff the crash-after-write hook targets `key` (remote worker only;
-/// the caller _exit(9)s between spool write and submission).
+/// the caller _exit(9)s between reading the spooled line and submitting
+/// it).
 inline bool crash_after_write_hook_hits(const std::string& key) {
   const char* target = std::getenv("OMX_FARM_TEST_CRASH_AFTER_WRITE_KEY");
   return target != nullptr && key == target;

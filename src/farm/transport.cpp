@@ -15,6 +15,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "harness/sweep.h"
 #include "support/check.h"
 
 namespace omx::farm {
@@ -336,88 +337,6 @@ std::unique_ptr<Conn> Listener::accept(int timeout_ms) {
 
 namespace wire {
 
-namespace {
-
-void append_escaped(std::string* out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        *out += c;
-    }
-  }
-}
-
-/// Parse a JSON string starting at text[*i] == '"'. Advances *i past the
-/// closing quote.
-bool parse_string(const std::string& text, std::size_t* i, std::string* out) {
-  if (*i >= text.size() || text[*i] != '"') return false;
-  ++*i;
-  out->clear();
-  while (*i < text.size()) {
-    const char c = text[*i];
-    if (c == '"') {
-      ++*i;
-      return true;
-    }
-    if (c == '\\') {
-      ++*i;
-      if (*i >= text.size()) return false;
-      switch (text[*i]) {
-        case '"':
-          *out += '"';
-          break;
-        case '\\':
-          *out += '\\';
-          break;
-        case 'n':
-          *out += '\n';
-          break;
-        case 't':
-          *out += '\t';
-          break;
-        case 'r':
-          *out += '\r';
-          break;
-        case '/':
-          *out += '/';
-          break;
-        default:
-          return false;
-      }
-      ++*i;
-      continue;
-    }
-    *out += c;
-    ++*i;
-  }
-  return false;
-}
-
-void skip_ws(const std::string& text, std::size_t* i) {
-  while (*i < text.size() &&
-         (text[*i] == ' ' || text[*i] == '\t' || text[*i] == '\n' ||
-          text[*i] == '\r')) {
-    ++*i;
-  }
-}
-
-}  // namespace
-
 std::string encode(
     const std::vector<std::pair<std::string, std::string>>& fields) {
   std::string out = "{";
@@ -426,9 +345,9 @@ std::string encode(
     if (!first) out += ',';
     first = false;
     out += '"';
-    append_escaped(&out, k);
+    out += harness::json_escape(k);
     out += "\":\"";
-    append_escaped(&out, v);
+    out += harness::json_escape(v);
     out += '"';
   }
   out += '}';
@@ -438,31 +357,7 @@ std::string encode(
 bool decode(const std::string& payload,
             std::map<std::string, std::string>* out) {
   out->clear();
-  std::size_t i = 0;
-  skip_ws(payload, &i);
-  if (i >= payload.size() || payload[i] != '{') return false;
-  ++i;
-  skip_ws(payload, &i);
-  if (i < payload.size() && payload[i] == '}') return true;  // empty object
-  for (;;) {
-    std::string key, value;
-    skip_ws(payload, &i);
-    if (!parse_string(payload, &i, &key)) return false;
-    skip_ws(payload, &i);
-    if (i >= payload.size() || payload[i] != ':') return false;
-    ++i;
-    skip_ws(payload, &i);
-    if (!parse_string(payload, &i, &value)) return false;
-    (*out)[key] = value;
-    skip_ws(payload, &i);
-    if (i >= payload.size()) return false;
-    if (payload[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (payload[i] == '}') return true;
-    return false;
-  }
+  return harness::parse_flat_json(payload, out);
 }
 
 std::string get(const std::map<std::string, std::string>& msg,

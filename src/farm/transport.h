@@ -132,12 +132,13 @@ class Listener {
 
 namespace wire {
 
-/// {"k":"v",...} with JSON string escaping; preserves field order.
+/// {"k":"v",...} with JSON string escaping (harness::json_escape);
+/// preserves field order.
 std::string encode(
     const std::vector<std::pair<std::string, std::string>>& fields);
 
-/// Inverse of encode (accepts any flat all-string JSON object). Returns
-/// false on malformed input.
+/// Inverse of encode (harness::parse_flat_json). Returns false on
+/// malformed input.
 bool decode(const std::string& payload,
             std::map<std::string, std::string>* out);
 

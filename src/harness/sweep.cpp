@@ -1,9 +1,9 @@
 #include "harness/sweep.h"
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +11,7 @@
 
 #include "rng/ledger.h"
 #include "support/check.h"
+#include "support/durable_file.h"
 #include "support/prng.h"
 #include "trace/trace.h"
 
@@ -59,7 +60,7 @@ std::string format_double(double v) {
   return buf;
 }
 
-// --- minimal JSON (flat objects of strings / integers / bools) ---
+}  // namespace
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -84,14 +85,14 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Parse one flat JSON object {"k":v,...} with string / number / bool
-/// values. Tolerant of nothing else — checkpoint lines are machine-written
-/// — so any deviation (e.g. a line torn by kill -9) simply fails.
 bool parse_flat_json(const std::string& line,
-                     std::unordered_map<std::string, std::string>* out) {
+                     std::map<std::string, std::string>* out) {
   std::size_t i = 0;
   const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+    while (i < line.size() && (line[i] == ' ' || line[i] == '\t' ||
+                               line[i] == '\n' || line[i] == '\r')) {
+      ++i;
+    }
   };
   const auto parse_string = [&](std::string* s) -> bool {
     if (i >= line.size() || line[i] != '"') return false;
@@ -110,11 +111,15 @@ bool parse_flat_json(const std::string& line,
           case 'r': *s += '\r'; break;
           case 't': *s += '\t'; break;
           case 'u': {
-            if (i + 4 > line.size()) return false;
-            const unsigned code = static_cast<unsigned>(
-                std::strtoul(line.substr(i, 4).c_str(), nullptr, 16));
+            // json_escape writes only \u00XX (bytes below 0x20).
+            if (i + 4 > line.size() || line.compare(i, 2, "00") != 0 ||
+                !std::isxdigit(static_cast<unsigned char>(line[i + 2])) ||
+                !std::isxdigit(static_cast<unsigned char>(line[i + 3]))) {
+              return false;
+            }
+            *s += static_cast<char>(
+                std::strtoul(line.substr(i + 2, 2).c_str(), nullptr, 16));
             i += 4;
-            *s += static_cast<char>(code);  // checkpoint only escapes < 0x20
             break;
           }
           default: return false;
@@ -161,6 +166,8 @@ bool parse_flat_json(const std::string& line,
   }
 }
 
+namespace {
+
 std::uint64_t to_u64(const std::string& s) {
   return std::strtoull(s.c_str(), nullptr, 10);
 }
@@ -199,7 +206,7 @@ std::string checkpoint_line(const std::string& key, const TrialOutcome& o) {
 
 bool parse_checkpoint_line(const std::string& line, std::string* key,
                            TrialOutcome* o) {
-  std::unordered_map<std::string, std::string> kv;
+  std::map<std::string, std::string> kv;
   if (!parse_flat_json(line, &kv)) return false;
   const auto need = [&](const char* k, std::string* dst) -> bool {
     const auto it = kv.find(k);
@@ -430,26 +437,27 @@ Sweep::Sweep(SweepOptions options) : options_(std::move(options)) {
 }
 
 void Sweep::load_checkpoint() {
-  std::ifstream in(options_.checkpoint_path, std::ios::binary);
-  if (!in) return;  // no checkpoint yet — fresh sweep
-  std::string line;
   std::size_t lineno = 0;
-  std::size_t dropped = 0;
   std::size_t first_bad = 0;
-  while (std::getline(in, line)) {
+  const auto load = [&](const std::string& line) {
     std::string key;
     TrialOutcome outcome;
     ++lineno;
-    if (parse_checkpoint_line(line, &key, &outcome)) {
-      recorded_[key] = std::move(outcome);
-      checkpoint_text_ += line;
-      checkpoint_text_ += '\n';
-    } else {
+    if (!parse_checkpoint_line(line, &key, &outcome)) {
       // Typically the torn final line of a killed sweep; that trial simply
-      // re-runs. The rewrite on the next record drops the debris.
-      if (dropped == 0) first_bad = lineno;
-      ++dropped;
+      // re-runs.
+      if (first_bad == 0) first_bad = lineno;
+      return false;
     }
+    recorded_[key] = std::move(outcome);
+    return true;
+  };
+  // Repair before the first append: a record appended after a torn tail
+  // would be glued onto the debris and lost with it on the next load.
+  std::size_t dropped = 0;
+  if (!support::repair_lines(options_.checkpoint_path, load, &dropped)) {
+    throw std::runtime_error("sweep: cannot repair checkpoint " +
+                             options_.checkpoint_path);
   }
   if (dropped > 0) {
     std::fprintf(
@@ -464,24 +472,12 @@ void Sweep::load_checkpoint() {
 }
 
 void Sweep::record(const std::string& key, const TrialOutcome& outcome) {
-  checkpoint_text_ += checkpoint_line(key, outcome);
-  checkpoint_text_ += '\n';
-  // Atomic replace: a kill at any instant leaves either the previous file
-  // or the new one, never a half-written state that would poison a resume.
-  const std::string tmp = options_.checkpoint_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << checkpoint_text_;
-    out.flush();
-    if (!out) {
-      throw std::runtime_error("sweep: cannot write checkpoint " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, options_.checkpoint_path, ec);
-  if (ec) {
-    throw std::runtime_error("sweep: cannot publish checkpoint " +
-                             options_.checkpoint_path + ": " + ec.message());
+  // One durable line per trial: a kill leaves at most a torn final line,
+  // which the next load drops (that trial re-runs).
+  if (!support::append_line_durably(options_.checkpoint_path,
+                                    checkpoint_line(key, outcome))) {
+    throw std::runtime_error("sweep: cannot append to checkpoint " +
+                             options_.checkpoint_path);
   }
 }
 
@@ -553,11 +549,11 @@ std::string Sweep::capture_repro(const ExperimentConfig& cfg,
     }
   }
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
   std::string first_line = outcome.error;
   if (const auto nl = first_line.find('\n'); nl != std::string::npos) {
     first_line.resize(nl);
   }
+  std::ostringstream out;
   out << "# replay with: omxsim --repro " << path << "\n";
   out << "# verdict: " << to_string(outcome.verdict) << "\n";
   out << "# error: " << first_line << "\n";
@@ -565,7 +561,9 @@ std::string Sweep::capture_repro(const ExperimentConfig& cfg,
     out << "# trace: " << *trace_path << " (analyze with omxtrace)\n";
   }
   out << serialize_config(cfg);
-  if (!out) {
+  // Published whole: a run killed mid-capture leaves no half-written
+  // .repro behind.
+  if (!support::publish_file(path, out.str())) {
     std::fprintf(stderr, "sweep: cannot write repro file %s\n", path.c_str());
     return "";
   }

@@ -11,12 +11,13 @@
 //   * watchdog deadlines — SweepOptions::trial_deadline_ms is forwarded to
 //     the engine's cooperative round-boundary watchdog, so a stalled
 //     protocol degrades into a recorded `timeout` verdict;
-//   * JSONL checkpointing — every finished trial is appended to a
-//     checkpoint file keyed by its config hash, rewritten atomically
-//     (whole file to `<path>.tmp`, then rename), so `kill -9` loses at
-//     most the in-flight trial; a restarted sweep replays recorded trials
-//     from the file instead of re-running them, byte-identically for
-//     deterministic (serially driven) sweeps;
+//   * JSONL checkpointing — every finished trial appends one line, keyed
+//     by its config hash, to a checkpoint file (support/durable_file.h:
+//     one write + fsync, never a rewrite), so `kill -9` loses at most the
+//     in-flight trial and its torn line; a restarted sweep drops that
+//     line before its first append and replays recorded trials from the
+//     file instead of re-running them, byte-identically for deterministic
+//     (serially driven) sweeps;
 //   * seed retries — transient verdicts (timeout, round_cap) re-run up to
 //     SweepOptions::max_attempts times with deterministically perturbed
 //     seeds, the attempt count recorded in the outcome;
@@ -136,6 +137,19 @@ std::string config_key(const ExperimentConfig& cfg);
 /// sweep's checkpoint. No trailing newline.
 std::string checkpoint_line(const std::string& key, const TrialOutcome& o);
 
+/// JSON string-body escaping for every JSON text the program emits (the
+/// checkpoint line's strings, the farm's wire and status messages): `"`,
+/// `\`, `\n`, `\r`, `\t` by name, other bytes below 0x20 as `\u00XX`,
+/// everything else raw.
+std::string json_escape(const std::string& s);
+
+/// Read one flat JSON object {"k":v,...} into *out: string values
+/// unescaped (json_escape's escapes, plus `\/`), number and bool values as
+/// their text. These objects are machine-written (checkpoint lines, wire
+/// frames), so any deviation (e.g. a line torn by kill -9) returns false.
+bool parse_flat_json(const std::string& line,
+                     std::map<std::string, std::string>* out);
+
 /// Inverse of checkpoint_line. Returns false on any deviation (e.g. a line
 /// torn by kill -9); on success sets *key and *out (with from_checkpoint).
 bool parse_checkpoint_line(const std::string& line, std::string* key,
@@ -177,7 +191,6 @@ class Sweep {
   SweepOptions options_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, TrialOutcome> recorded_;
-  std::string checkpoint_text_;  // the checkpoint file's current contents
   std::uint64_t trials_ = 0;
   std::uint64_t resumed_ = 0;
   std::uint64_t retried_ = 0;

@@ -58,13 +58,20 @@ class CorruptInputError : public PreconditionError {
 };
 
 namespace detail {
+/// A precondition failure is the caller's to read: its text is the message
+/// alone (the expression only when there is no message), so CLI errors and
+/// recorded trial outcomes carry no build paths or C++. An invariant
+/// failure is a simulator bug: it names the expression and its location,
+/// repo-relative (the build maps __FILE__'s prefix away).
 [[noreturn]] inline void throw_check_failure(const char* kind, const char* expr,
                                              const char* file, int line,
                                              const std::string& msg) {
+  if (std::string(kind) == "OMX_REQUIRE") {
+    throw PreconditionError(msg.empty() ? std::string(expr) : msg);
+  }
   std::ostringstream os;
   os << kind << " failed: (" << expr << ") at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
-  if (std::string(kind) == "OMX_REQUIRE") throw PreconditionError(os.str());
   throw InvariantError(os.str());
 }
 }  // namespace detail

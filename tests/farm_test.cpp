@@ -491,6 +491,39 @@ TEST(Farm, ResumesFromShardsAndToleratesTornTails) {
             sorted_lines(dir / "ref.jsonl"));
 }
 
+TEST(Farm, ResumesAndMergesALegacyRemoteShard) {
+  // Farm directories written before the daemon kept one log hold remote
+  // results in shards/remote.jsonl. Nothing writes that file any more, but
+  // resume and merge read every *.jsonl, so such a directory still
+  // resumes and merges to the reference.
+  const fs::path dir = scratch("legacy_remote");
+  harness::SweepOptions ref_opts;
+  ref_opts.checkpoint_path = (dir / "ref.jsonl").string();
+  ref_opts.capture_repro = false;
+  {
+    harness::Sweep sweep(ref_opts);
+    for (std::uint64_t s = 1; s <= 4; ++s) sweep.run(tiny(s));
+  }
+  fs::create_directories(dir / "farm" / "shards");
+  {
+    std::ifstream ref(dir / "ref.jsonl");
+    std::ofstream legacy(dir / "farm" / "shards" / "remote.jsonl");
+    std::string line;
+    for (int i = 0; i < 2 && std::getline(ref, line); ++i) {
+      legacy << line << "\n";
+    }
+  }
+
+  Farm farm(fast_opts(dir / "farm"));
+  for (std::uint64_t s = 1; s <= 4; ++s) ASSERT_TRUE(farm.add(tiny(s)));
+  const FarmReport report = farm.run();
+
+  EXPECT_EQ(report.resumed, 2u);
+  EXPECT_EQ(report.done, 2u);
+  EXPECT_EQ(sorted_lines(report.merged_path),
+            sorted_lines(dir / "ref.jsonl"));
+}
+
 // ---------------------------------------------------------------------------
 // <dir>/farm.sock: the framed protocol's clients.
 

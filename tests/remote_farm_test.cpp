@@ -19,6 +19,7 @@
 
 #include "farm/farm.h"
 #include "farm/remote_worker.h"
+#include "farm/shard.h"
 #include "farm/transport.h"
 #include "harness/sweep.h"
 #include "support/check.h"
@@ -231,7 +232,9 @@ TEST(RemoteProtocol, BadResultLinesAreRejectedUnknownKeysAcked) {
           {{"type", "result"}, {"key", "feedfeedfeedfeed"}, {"epoch", "0"},
            {"line", line_for("feedfeedfeedfeed")}});
   EXPECT_EQ(wire::get(r, "type"), "ok");
-  EXPECT_FALSE(fs::exists(dir / "shards" / "remote.jsonl"))
+  EXPECT_EQ(scan_shards((dir / "shards").string()).lines.count(
+                "feedfeedfeedfeed"),
+            0u)
       << "an unknown key must never grow the merge";
 
   // The real item is still leasable and unharmed.
@@ -266,6 +269,35 @@ TEST(RemoteProtocol, ResultMessagesCarryArtifactPointers) {
   EXPECT_NE(json.find("\"" + key + "\""), std::string::npos) << json;
   EXPECT_NE(json.find("/w0/repro/" + key + ".repro"), std::string::npos);
   EXPECT_NE(json.find("\"worker\":\"w0\""), std::string::npos);
+}
+
+TEST(RemoteProtocol, ArtifactsIndexEscapesControlBytesInWorkerNames) {
+  // Worker names are free text from the wire; the index must stay valid
+  // JSON whatever bytes they hold.
+  const fs::path dir = scratch("artifacts_escape");
+  FarmOptions opts = remote_only_opts(dir);
+  opts.workers = 1;
+  opts.listen.clear();
+  Farm farm(opts);
+  const std::string key = harness::config_key(tiny(1));
+  ASSERT_TRUE(farm.add(tiny(1)));
+  Farm::RemotePeer peer;
+  ASSERT_EQ(wire::get(ask(&farm, &peer, {{"type", "next"}}), "type"), "lease");
+  ASSERT_EQ(wire::get(ask(&farm, &peer,
+                          {{"type", "result"}, {"key", key}, {"epoch", "1"},
+                           {"line", line_for(key)},
+                           {"repro", "/w/" + key + ".repro"},
+                           {"worker", "tab\there\x01\"q\\"}}),
+                      "type"),
+            "ok");
+  const std::string json =
+      wire::get(ask(&farm, &peer, {{"type", "artifacts"}}), "json");
+  EXPECT_NE(json.find("\"worker\":\"tab\\there\\u0001\\\"q\\\\\""),
+            std::string::npos)
+      << json;
+  for (const char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+  }
 }
 
 TEST(RemoteProtocol, StatusResultsFollowAndUnknownVerbs) {
@@ -363,6 +395,31 @@ TEST(RemoteFarm, TcpWorkersMatchSingleProcessSweep) {
   EXPECT_GE(report.remote_workers_seen, 2u);
   EXPECT_EQ(report.corrupt_frames, 0u);
   EXPECT_EQ(sorted_lines(report.merged_path), sorted_lines(dir / "ref.jsonl"));
+}
+
+TEST(RemoteFarm, FinishedWorkerLeavesAnEmptySpoolAndNoOutbox) {
+  // The trial fork writes its line straight into the spool and the worker
+  // empties it once the daemon acks: a clean run leaves nothing to
+  // resubmit, and there is no second per-trial file.
+  const fs::path dir = scratch("spool_empty");
+  write_reference(dir / "ref.jsonl", 3);
+  FarmOptions opts = remote_only_opts(dir / "farm");
+  opts.listen = "unix:" + (dir / "workers.sock").string();
+  Farm farm(opts);
+  for (std::uint64_t s = 1; s <= 3; ++s) ASSERT_TRUE(farm.add(tiny(s)));
+
+  const pid_t w0 = spawn_worker(opts.dir, dir / "w0", "w0");
+  const FarmReport report = farm.run();
+
+  EXPECT_EQ(wait_exit(w0), 0);
+  EXPECT_EQ(report.remote_results, 3u);
+  EXPECT_EQ(sorted_lines(report.merged_path), sorted_lines(dir / "ref.jsonl"));
+  ASSERT_TRUE(fs::exists(dir / "w0" / "pending.jsonl"));
+  EXPECT_EQ(fs::file_size(dir / "w0" / "pending.jsonl"), 0u);
+  EXPECT_FALSE(fs::exists(dir / "w0" / "outbox.jsonl"));
+  // Remote results land in the daemon's one log beside the worker shards.
+  EXPECT_EQ(sorted_lines(dir / "farm" / "shards" / "daemon.jsonl"),
+            sorted_lines(dir / "ref.jsonl"));
 }
 
 TEST(RemoteFarm, UnixEndpointRunsTheSameProtocol) {

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "support/bits.h"
 #include "support/check.h"
+#include "support/durable_file.h"
 #include "support/prng.h"
 #include "support/stats.h"
 
@@ -30,6 +37,131 @@ TEST(Check, MessageContainsContext) {
     EXPECT_NE(what.find("one is not two"), std::string::npos);
     EXPECT_NE(what.find("support_test.cpp"), std::string::npos);
   }
+}
+
+TEST(Check, RequireTextIsTheCallersMessage) {
+  try {
+    OMX_REQUIRE(1 == 2, "one is not two");
+    FAIL() << "should have thrown";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "one is not two");
+  }
+  try {
+    OMX_REQUIRE(1 == 2, "");
+    FAIL() << "should have thrown";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "1 == 2");
+  }
+}
+
+TEST(Check, CheckLocationIsRepoRelative) {
+  try {
+    OMX_CHECK(false, "");
+    FAIL() << "should have thrown";
+  } catch (const InvariantError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at tests/support_test.cpp:"), std::string::npos)
+        << what;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The durable-write helpers.
+
+namespace fs = std::filesystem;
+
+fs::path durable_scratch(const std::string& name) {
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / ("omx_durable_" + name);
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+void put(const fs::path& p, const std::string& bytes) {
+  std::ofstream(p, std::ios::binary) << bytes;
+}
+
+ino_t inode(const fs::path& p) {
+  struct stat st {};
+  EXPECT_EQ(::stat(p.c_str(), &st), 0);
+  return st.st_ino;
+}
+
+TEST(DurableFile, AppendAddsOneNewlineEndedLine) {
+  const fs::path path = durable_scratch("append") / "log.jsonl";
+  ASSERT_TRUE(support::append_line_durably(path.string(), "a"));
+  const ino_t first = inode(path);
+  ASSERT_TRUE(support::append_line_durably(path.string(), "bc"));
+  EXPECT_EQ(slurp(path), "a\nbc\n");
+  EXPECT_EQ(inode(path), first);
+  EXPECT_FALSE(support::append_line_durably(
+      (path.parent_path() / "no-such-dir" / "log").string(), "x"));
+}
+
+TEST(DurableFile, PublishReplacesTheWholeFileAndLeavesNoTemp) {
+  const fs::path dir = durable_scratch("publish");
+  const fs::path path = dir / "state";
+  put(path, "old contents that are longer\n");
+  ASSERT_TRUE(support::publish_file(path.string(), "new\n"));
+  EXPECT_EQ(slurp(path), "new\n");
+  EXPECT_FALSE(fs::exists(dir / "state.tmp"));
+  EXPECT_FALSE(support::publish_file((dir / "absent" / "f").string(), "x"));
+  EXPECT_FALSE(fs::exists(dir / "absent"));
+}
+
+TEST(DurableFile, RepairKeepsAcceptedLinesAndEndsOnANewline) {
+  const fs::path dir = durable_scratch("repair");
+  const auto good = [](const std::string& line) {
+    return line.rfind("ok", 0) == 0;
+  };
+  std::size_t dropped = 99;
+
+  // A missing file is empty: nothing to repair, nothing created.
+  ASSERT_TRUE(support::repair_lines((dir / "absent").string(), good, &dropped));
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_FALSE(fs::exists(dir / "absent"));
+
+  // A clean file is left alone (same inode, same bytes).
+  const fs::path clean = dir / "clean";
+  put(clean, "ok1\nok2\n");
+  const ino_t before = inode(clean);
+  ASSERT_TRUE(support::repair_lines(clean.string(), good, &dropped));
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(inode(clean), before);
+  EXPECT_EQ(slurp(clean), "ok1\nok2\n");
+
+  // Rejected lines go, wherever they sit; the validator sees them in order.
+  const fs::path torn = dir / "torn";
+  put(torn, "ok1\nbad\nok2\nok3-torn-tail");
+  std::vector<std::string> seen;
+  ASSERT_TRUE(support::repair_lines(
+      torn.string(),
+      [&](const std::string& line) {
+        seen.push_back(line);
+        return line.rfind("ok", 0) == 0 &&
+               line.find("torn") == std::string::npos;
+      },
+      &dropped));
+  EXPECT_EQ(dropped, 2u);
+  EXPECT_EQ(seen, (std::vector<std::string>{"ok1", "bad", "ok2",
+                                            "ok3-torn-tail"}));
+  EXPECT_EQ(slurp(torn), "ok1\nok2\n");
+
+  // An accepted final line without its newline gets one, so the next
+  // append cannot be glued onto it.
+  const fs::path unterminated = dir / "unterminated";
+  put(unterminated, "ok1\nok2");
+  ASSERT_TRUE(support::repair_lines(unterminated.string(), good, &dropped));
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(slurp(unterminated), "ok1\nok2\n");
 }
 
 TEST(Bits, FieldBits) {

@@ -3,12 +3,16 @@
 // serialization/hashing, repro capture, and guarded_main's exit codes.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/params.h"
@@ -172,6 +176,36 @@ TEST(SweepVerdicts, InvalidConfigIsAPreconditionVerdictNotACrash) {
   EXPECT_EQ(sweep.failures(), 1u);
 }
 
+TEST(SweepVerdicts, PreconditionRecordsOnlyTheCallersMessage) {
+  // A recorded failure is the same bytes from every build: the error the
+  // checkpoint and the .repro carry is the message alone, with no macro
+  // name, expression or source path.
+  const fs::path dir = scratch("precondition_text");
+  SweepOptions opts;
+  opts.checkpoint_path = (dir / "ckpt.jsonl").string();
+  opts.repro_dir = (dir / "repro").string();
+  opts.capture_trace = false;
+  Sweep sweep(opts);
+  auto cfg = tiny_config(1);
+  cfg.t = cfg.n;
+  ASSERT_EQ(sweep.run(cfg).verdict, Verdict::Precondition);
+
+  const std::string expected = "fault budget must satisfy t < n (t=8, n=8)";
+  std::string key;
+  TrialOutcome recorded;
+  std::string line = slurp(opts.checkpoint_path);
+  ASSERT_FALSE(line.empty());
+  line.pop_back();  // the newline
+  ASSERT_TRUE(parse_checkpoint_line(line, &key, &recorded)) << line;
+  EXPECT_EQ(recorded.error, expected);
+  const std::string repro = slurp(recorded.repro_path);
+  EXPECT_NE(repro.find("# error: " + expected + "\n"), std::string::npos)
+      << repro;
+  for (const char* leak : {"OMX_REQUIRE", "experiment.cpp", "src/"}) {
+    EXPECT_EQ(line.find(leak), std::string::npos) << line;
+  }
+}
+
 TEST(SweepVerdicts, RoundCapIsItsOwnVerdict) {
   Sweep sweep(SweepOptions{});
   auto cfg = tiny_config(1);
@@ -307,6 +341,76 @@ TEST(SweepCheckpoint, InterruptedSweepResumesToByteIdenticalResults) {
   // The acceptance criterion: the final result table is byte-identical to
   // the uninterrupted run's.
   EXPECT_EQ(slurp(cut_opts.checkpoint_path), reference);
+}
+
+TEST(SweepCheckpoint, EachRecordAppendsOneLineToTheSameFile) {
+  // The checkpoint is a log, not a rewritten file: every record keeps the
+  // inode and leaves the earlier bytes untouched, adding exactly one line.
+  const fs::path dir = scratch("append_only");
+  SweepOptions opts;
+  opts.checkpoint_path = (dir / "ckpt.jsonl").string();
+  Sweep sweep(opts);
+  sweep.run(tiny_config(1));
+  struct stat first {};
+  ASSERT_EQ(::stat(opts.checkpoint_path.c_str(), &first), 0);
+  std::string before = slurp(opts.checkpoint_path);
+  for (std::uint64_t s = 2; s <= 4; ++s) {
+    const TrialOutcome outcome = sweep.run(tiny_config(s));
+    struct stat now {};
+    ASSERT_EQ(::stat(opts.checkpoint_path.c_str(), &now), 0);
+    EXPECT_EQ(now.st_ino, first.st_ino)
+        << "record " << s << " replaced the file";
+    const std::string after = slurp(opts.checkpoint_path);
+    EXPECT_EQ(after, before + checkpoint_line(config_key(tiny_config(s)),
+                                              outcome) + "\n");
+    before = after;
+  }
+  EXPECT_FALSE(fs::exists(opts.checkpoint_path + ".tmp"));
+}
+
+TEST(SweepCheckpoint, ConcurrentCallersRecordEveryTrialOnce) {
+  // Bench binaries fan checkpointed trials out over threads: every trial
+  // must land as exactly one whole line, and a fresh sweep must resume all
+  // of them without appending anything.
+  const fs::path dir = scratch("concurrent");
+  SweepOptions opts;
+  opts.checkpoint_path = (dir / "ckpt.jsonl").string();
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 25;
+  {
+    Sweep sweep(opts);
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kThreads; ++t) {
+      callers.emplace_back([&sweep, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          sweep.run(tiny_config(1 + static_cast<std::uint64_t>(
+                                        t * kPerThread + i)));
+        }
+      });
+    }
+    for (auto& caller : callers) caller.join();
+    EXPECT_EQ(sweep.trials(), std::uint64_t{kThreads * kPerThread});
+  }
+  const std::string bytes = slurp(opts.checkpoint_path);
+  std::istringstream is(bytes);
+  std::set<std::string> keys;
+  std::size_t lines = 0;
+  for (std::string line; std::getline(is, line); ++lines) {
+    std::string key;
+    TrialOutcome outcome;
+    ASSERT_TRUE(parse_checkpoint_line(line, &key, &outcome)) << line;
+    keys.insert(key);
+  }
+  EXPECT_EQ(lines, std::size_t{kThreads * kPerThread});
+  EXPECT_EQ(keys.size(), std::size_t{kThreads * kPerThread});
+
+  Sweep resumed(opts);
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    EXPECT_TRUE(resumed.run(tiny_config(1 + static_cast<std::uint64_t>(i)))
+                    .from_checkpoint);
+  }
+  EXPECT_EQ(resumed.resumed(), std::uint64_t{kThreads * kPerThread});
+  EXPECT_EQ(slurp(opts.checkpoint_path), bytes);
 }
 
 TEST(SweepCheckpoint, CheckpointLineRoundTripsAndRejectsTornPrefixes) {

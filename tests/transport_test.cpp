@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "farm/transport.h"
@@ -223,6 +224,24 @@ TEST(WireCodec, RoundTripsFieldsWithEscapes) {
             "{\"key\":\"ab\",\"error\":\"tab\there\nnewline\"}");
   EXPECT_EQ(wire::get(decoded, "path"), "C:\\odd\\path");
   EXPECT_EQ(wire::get(decoded, "absent"), "");
+}
+
+TEST(WireCodec, EveryAsciiByteRoundTrips) {
+  // encode escapes with harness::json_escape (control bytes as \u00XX);
+  // decode must read back every byte it can write.
+  std::string all;
+  for (int c = 0x01; c <= 0x7f; ++c) all += static_cast<char>(c);
+  const std::string payload = wire::encode({{all, all}, {"single", "\x1f"}});
+  for (const char c : payload) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte";
+  }
+  EXPECT_NE(payload.find("\\u001f"), std::string::npos) << payload;
+  std::map<std::string, std::string> decoded;
+  ASSERT_TRUE(wire::decode(payload, &decoded)) << payload;
+  EXPECT_EQ(wire::get(decoded, all), all);
+  EXPECT_EQ(wire::get(decoded, "single"), "\x1f");
+  EXPECT_FALSE(wire::decode("{\"a\":\"\\u00zz\"}", &decoded));
+  EXPECT_FALSE(wire::decode("{\"a\":\"\\u0\"}", &decoded));
 }
 
 TEST(WireCodec, DecodeRejectsMalformedPayloads) {

@@ -290,7 +290,7 @@ int cmd_work(int argc, char** argv) {
                   "daemon worker endpoint (unix:<path> | tcp:<host>:<port> "
                   "| host:port)");
   args.add_option("dir", "farmworker",
-                  "worker state directory (result spool, trial outbox, "
+                  "worker state directory (result spool pending.jsonl, "
                   "repro captures)");
   args.add_option("name", "", "worker name (default worker-<pid>)");
   args.add_option("chaos", "",
