@@ -39,8 +39,9 @@ class Wiretap final : public sim::Adversary<core::Msg> {
   explicit Wiretap(std::uint32_t group_width) : width_(group_width) {}
 
   void intervene(sim::AdversaryContext<core::Msg>& ctx) override {
-    for (const auto& m : ctx.messages()) {
-      const std::uint64_t bits = core::bit_size(m.payload);
+    ctx.for_each_message([&](sim::ProcessId from, sim::ProcessId,
+                             const core::Msg& payload) {
+      const std::uint64_t bits = core::bit_size(payload);
       const char* kind = std::visit(
           [](const auto& p) -> const char* {
             using T = std::decay_t<decltype(p)>;
@@ -56,18 +57,18 @@ class Wiretap final : public sim::Adversary<core::Msg> {
               return "flood";
             else return "gossip";
           },
-          m.payload);
+          payload);
       auto& t = by_kind_[kind];
       t.count += 1;
       t.bits += bits;
       if (kind[0] == 'p' || kind[0] == 'a' || kind[0] == 's') {
         if (kind[1] != 'p') {  // push/ack/share (not spread)
           group_bits_.resize(
-              std::max<std::size_t>(group_bits_.size(), m.from / width_ + 1));
-          group_bits_[m.from / width_] += bits;
+              std::max<std::size_t>(group_bits_.size(), from / width_ + 1));
+          group_bits_[from / width_] += bits;
         }
       }
-    }
+    });
   }
 
   std::map<std::string, Tally> by_kind_;

@@ -4,7 +4,7 @@
 // times. Concretely, machines that want to be attackable by state-aware
 // strategies implement a probe interface; the experiment wires the probe
 // into the adversary at setup. (Payload inspection is already available to
-// every adversary through AdversaryContext::messages().)
+// every adversary through AdversaryContext::for_each_message().)
 #pragma once
 
 #include <cstdint>

@@ -235,9 +235,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // model-violation class.
   std::unique_ptr<trace::TraceWriter> tracer;
   if (!cfg.trace_path.empty()) {
-    OMX_REQUIRE(trace::kCompiledIn,
-                "trace_path set but tracing was compiled out "
-                "(OMX_DISABLE_TRACING)");
     tracer = std::make_unique<trace::TraceWriter>(cfg.trace_path, cfg.n,
                                                   cfg.trace_packed);
   }

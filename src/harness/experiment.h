@@ -91,8 +91,7 @@ struct ExperimentConfig {
   sim::EngineStats* engine_stats = nullptr;
   /// When non-empty, write a binary event trace of the run to this path
   /// (trace/trace.h format; analyze with `omxtrace stats|dump|diff`). The
-  /// stream is bit-identical across `threads` settings. Requires tracing to
-  /// be compiled in (the default; see OMX_DISABLE_TRACING).
+  /// stream is bit-identical across `threads` settings.
   std::string trace_path;
   /// Write the trace in the packed (compressed-block) storage format — the
   /// same event stream, ~5-25x fewer bytes on disk; every reader handles

@@ -529,7 +529,7 @@ std::string Sweep::capture_repro(const ExperimentConfig& cfg,
   // failure, ending exactly where the violation threw (the writer flushes
   // through the unwind). Failures are rare; paying one extra run for a
   // debuggable artifact is the point of capturing at all.
-  if (options_.capture_trace && trace::kCompiledIn) {
+  if (options_.capture_trace) {
     ExperimentConfig traced = cfg;
     traced.trace_path = stem + ".trace";
     // Captures are written packed: every reader handles both formats, the

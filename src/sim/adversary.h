@@ -12,13 +12,18 @@
 // Illegal actions throw AdversaryViolation — experiments cannot silently
 // exceed the model's power.
 //
-// Because every omission sits on a corrupted process's link, bulk omission
-// has one primitive, AdversaryContext::drop_links(S, R, pred): a serial
-// walk, in ascending wire order, over just the messages sent by S or
-// addressed to R (MessagePlane::visit_links), usually with S and R the
-// corrupted set. silence() / silence_many() and every strategy's bulk drops
-// go through it, so the cost of an adversary phase scales with the
-// corrupted processes' links rather than with the whole wire.
+// The context offers one way to read the wire and one way to omit:
+//   * for_each_message(fn) — full information: every in-flight message
+//     with its payload, in ascending wire order (MessagePlane::visit_wire);
+//   * drop_links(S, R, pred) — the one omission primitive: a serial walk,
+//     in ascending wire order, over just the messages sent by S or
+//     addressed to R (MessagePlane::visit_links), usually with S and R the
+//     corrupted set. silence() / silence_many() and every strategy's drops
+//     go through it, so the cost of an adversary phase scales with the
+//     corrupted processes' links rather than with the whole wire.
+// Dropping by content is a read walk followed by an omission walk: record
+// what for_each_message selects, then hand drop_links a predicate that
+// replays the selection (both walks run in ascending index order).
 #pragma once
 
 #include <cstdint>
@@ -76,60 +81,14 @@ class FaultState {
   std::uint32_t budget_;
 };
 
-/// Read-only iterable view over the plane's logical messages. Elements are
-/// lightweight proxies carrying (from, to, payload&) — range-for loops over
-/// ctx.messages() see one element per logical message, without the engine
-/// building per-recipient message objects.
-template <class P>
-class MessageView {
- public:
-  struct Ref {
-    ProcessId from;
-    ProcessId to;
-    const P& payload;
-  };
-
-  explicit MessageView(const MessagePlane<P>* plane) : plane_(plane) {}
-
-  std::size_t size() const { return plane_->num_messages(); }
-  bool empty() const { return size() == 0; }
-  Ref operator[](std::size_t i) const {
-    return Ref{plane_->from(i), plane_->to(i), plane_->payload(i)};
-  }
-
-  class iterator {
-   public:
-    iterator(const MessagePlane<P>* plane, std::size_t i)
-        : plane_(plane), i_(i) {}
-    Ref operator*() const {
-      return Ref{plane_->from(i_), plane_->to(i_), plane_->payload(i_)};
-    }
-    iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator==(const iterator& o) const { return i_ == o.i_; }
-    bool operator!=(const iterator& o) const { return i_ != o.i_; }
-
-   private:
-    const MessagePlane<P>* plane_;
-    std::size_t i_;
-  };
-  iterator begin() const { return iterator(plane_, 0); }
-  iterator end() const { return iterator(plane_, size()); }
-
- private:
-  const MessagePlane<P>* plane_;
-};
-
-/// The adversary's per-round window onto the execution. Messages are exposed
-/// through an indexed view straight into the plane's flat buffers: a
-/// multicast looks like the equivalent sequence of unicasts (one logical
-/// index per recipient), so strategies are oblivious to the fast-path.
+/// The adversary's per-round window onto the execution. Messages are read
+/// straight off the plane's flat buffers: a multicast looks like the
+/// equivalent sequence of unicasts (one logical message per recipient), so
+/// strategies are oblivious to the fast-path.
 ///
-/// Bulk omissions go through drop_links(), which runs serially in
-/// ascending index order: a predicate may draw randomness, one draw per
-/// candidate message, and consumes its stream in wire order.
+/// Omissions go through drop_links(), which runs serially in ascending
+/// index order: a predicate may draw randomness, one draw per candidate
+/// message, and consumes its stream in wire order.
 template <class P>
 class AdversaryContext {
  public:
@@ -143,22 +102,19 @@ class AdversaryContext {
   /// Number of logical messages produced in this round's computation phase.
   std::size_t num_messages() const { return plane_->num_messages(); }
 
-  /// Indexed view (full information: contents are visible before delivery).
-  ProcessId from(std::size_t i) const { return plane_->from(i); }
-  ProcessId to(std::size_t i) const { return plane_->to(i); }
-  const P& payload(std::size_t i) const { return plane_->payload(i); }
-
-  /// Iterable proxy view for wiretaps and audits.
-  MessageView<P> messages() const { return MessageView<P>(plane_); }
+  /// Full information: visit every message on the wire, contents included,
+  /// in ascending index: fn(from, to, payload). The copies of one send call
+  /// share one payload reference.
+  template <class Fn>
+  void for_each_message(Fn&& fn) const {
+    plane_->visit_wire([&](std::uint64_t, ProcessId from, ProcessId to,
+                           const P& payload) { fn(from, to, payload); });
+  }
 
   // Seal-time accounting caches (computed once per round by the plane):
   // wiretaps like adversary::Recorder read per-round tallies from here
   // instead of re-measuring every payload.
 
-  /// Bit size of logical message #i.
-  std::uint64_t payload_bits(std::size_t i) const {
-    return plane_->payload_bits(i);
-  }
   /// Total bits on the wire this round (dropped messages included — the
   /// sender spent them).
   std::uint64_t wire_bits() const { return plane_->wire_bits(); }
@@ -175,38 +131,13 @@ class AdversaryContext {
   /// Adaptively corrupt a process (online, within budget).
   bool corrupt(ProcessId p) { return faults_->corrupt(p); }
 
-  /// Omit message #idx. Legal only if one endpoint is corrupted and it is
-  /// not a self-delivery.
-  void drop(std::size_t idx) {
-    OMX_REQUIRE(idx < plane_->num_messages(),
-                "drop: message index " + std::to_string(idx) +
-                    " out of range (round " + std::to_string(round_) + ", " +
-                    std::to_string(plane_->num_messages()) +
-                    " messages on the wire)");
-    const ProcessId from = plane_->from(idx);
-    const ProcessId to = plane_->to(idx);
-    if (from == to) {
-      throw AdversaryViolation("round " + std::to_string(round_) +
-                               ": cannot omit the self-delivery of process " +
-                               std::to_string(from));
-    }
-    if (!faults_->is_corrupted(from) && !faults_->is_corrupted(to)) {
-      throw AdversaryViolation(
-          "round " + std::to_string(round_) + ": cannot omit message " +
-          std::to_string(from) + "->" + std::to_string(to) +
-          " between two non-corrupted processes");
-    }
-    plane_->mark_dropped(idx);
-  }
-
-  bool dropped(std::size_t idx) const { return plane_->dropped(idx); }
-
-  /// Bulk omission, the one primitive behind every strategy's bulk drops:
-  /// walk, in ascending index, the messages sent by a process in `senders`
-  /// or addressed to one in `receivers` (MessagePlane::visit_links), skip
-  /// self-deliveries, and drop each message for which pred(from, to)
-  /// returns true. A dropped message between two non-corrupted processes
-  /// throws AdversaryViolation, exactly like drop(). Messages outside the
+  /// Omission, the one primitive behind every strategy's drops: walk, in
+  /// ascending index, the messages sent by a process in `senders` or
+  /// addressed to one in `receivers` (MessagePlane::visit_links), skip
+  /// self-deliveries (never omissible), and drop each message for which
+  /// pred(from, to) returns true. Selecting a message between two
+  /// non-corrupted processes throws AdversaryViolation, naming the round
+  /// and the link, before anything more is dropped. Messages outside the
   /// walk are never offered to pred, so the sets must cover every link
   /// pred may select (corrupted() for both always does). pred runs
   /// serially in index order and may draw randomness; it must not corrupt

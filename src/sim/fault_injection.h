@@ -81,18 +81,13 @@ class IllegalActionAdversary final : public Adversary<P> {
     MessagePlane<P>* plane = Backdoor::plane(ctx);
     FaultState* faults = Backdoor::faults(ctx);
     switch (what_) {
-      case Illegal::HonestLinkDrop: {
-        for (std::size_t i = 0; i < plane->num_messages(); ++i) {
-          if (plane->from(i) != plane->to(i) &&
-              !faults->is_corrupted(plane->from(i)) &&
-              !faults->is_corrupted(plane->to(i))) {
-            plane->mark_dropped(i);
-            fired_ = true;
-            return;
-          }
-        }
-        return;  // no honest-honest message this round; try the next one
-      }
+      case Illegal::HonestLinkDrop:
+        // No honest-honest message this round: try the next one.
+        drop_first(*plane, [&](ProcessId from, ProcessId to) {
+          return from != to && !faults->is_corrupted(from) &&
+                 !faults->is_corrupted(to);
+        });
+        return;
       case Illegal::BudgetOverrun: {
         const std::uint32_t target = faults->budget() + 1;
         const auto n = static_cast<ProcessId>(plane->num_processes());
@@ -103,16 +98,11 @@ class IllegalActionAdversary final : public Adversary<P> {
         fired_ = faults->num_corrupted() > faults->budget();
         return;
       }
-      case Illegal::SelfDeliveryDrop: {
-        for (std::size_t i = 0; i < plane->num_messages(); ++i) {
-          if (plane->from(i) == plane->to(i)) {
-            plane->mark_dropped(i);
-            fired_ = true;
-            return;
-          }
-        }
-        return;  // no self-delivery this round; try the next one
-      }
+      case Illegal::SelfDeliveryDrop:
+        // No self-delivery this round: try the next one.
+        drop_first(*plane,
+                   [](ProcessId from, ProcessId to) { return from == to; });
+        return;
       case Illegal::WrongRoundDelivery: {
         // The wire was sealed before intervene(); appending a record now
         // models delivering a message into a round it was never sent in.
@@ -124,6 +114,21 @@ class IllegalActionAdversary final : public Adversary<P> {
   }
 
  private:
+  /// Mark the lowest-index message whose endpoints satisfy pred dropped,
+  /// straight in the drop set, and record that the action fired.
+  template <class Pred>
+  void drop_first(MessagePlane<P>& plane, Pred pred) {
+    const std::size_t none = plane.num_messages();
+    std::size_t hit = none;
+    plane.visit_wire([&](std::uint64_t i, ProcessId from, ProcessId to,
+                         const P&) {
+      if (hit == none && pred(from, to)) hit = static_cast<std::size_t>(i);
+    });
+    if (hit == none) return;
+    plane.mark_dropped(hit);
+    fired_ = true;
+  }
+
   Illegal what_;
   bool fired_ = false;
 };

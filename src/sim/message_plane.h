@@ -13,8 +13,7 @@
 //     messages: group g expands to fanout(g) consecutive logical indices
 //     [base, base + fanout), in exactly the receiver order the equivalent
 //     unicast loop would have produced — so a broadcast to n-1 receivers
-//     costs O(1) staging instead of the n-1 twelve-byte records the
-//     previous plane wrote, and a CSR-restricted multicast costs O(degree)
+//     costs O(1) staging, and a CSR-restricted multicast costs O(degree)
 //     (its receiver list is copied once into a shared CSR-style arena);
 //   * a word-packed drop set (`drops_`) marking adversary omissions by
 //     logical index.
@@ -24,14 +23,28 @@
 // payloads or receiver lists are moved or copied. seal() then builds a flat
 // per-group wire index (global logical bases + direct payload/receiver
 // pointers into the segments), so the plane's logical message sequence is
-// byte-identical to a serial round while the old O(payloads + receivers)
-// merge copy is gone entirely.
+// byte-identical to a serial round.
 //
-// Delivery (deliver()) never copies a payload. It does the aggregate
-// accounting (sealed message count, cached wire bits, drop popcount —
-// identical totals to a per-message walk), emits trace events in
-// logical-index order when a trace sink is attached, and then indexes the
-// sealed wire for the next round's receivers:
+// The sealed wire is read four ways, each a walk in ascending logical
+// index; there is no per-index accessor:
+//   * visit_wire() — every message with its payload (wiretaps, the referee);
+//   * visit_links(S, R) — only the messages sent by S or addressed to R. An
+//     omission may only touch a link of a corrupted process, and at most t
+//     of n are corrupted, so this is the adversary's omission walk
+//     (AdversaryContext::drop_links): a group from a sender in S expands in
+//     full; a broadcast from any other sender jumps straight to the ranks
+//     of R's members (ProcessSet keeps them as a sorted id list next to its
+//     byte mask); a unicast costs one mask test and a list one test per
+//     entry;
+//   * for_each_dropped_link() — the drop bitset with a group cursor, handing
+//     the engine's legality audit each omitted message's endpoints;
+//   * deliver() — accounting, trace emission and the receivers' index.
+//
+// Delivery never copies a payload. It does the aggregate accounting (sealed
+// message count, cached wire bits, drop popcount — identical totals to a
+// per-message walk), emits trace events in logical-index order when a
+// trace sink is attached, and then indexes the sealed wire for the next
+// round's receivers:
 //   * unicast and kList messages go into a per-receiver index — a stable
 //     counting sort of (logical index, sender, payload pointer) entries,
 //     sharded by receiver range on the pool (lane w owns receivers
@@ -44,18 +57,6 @@
 // receiver and an n-broadcast round costs O(n) per receiver with no n²
 // inbox buffer ever built. The own log's contents are swapped into a front
 // buffer so payloads stay readable while the next round's sends accumulate.
-//
-// The adversary phase walks links, not the whole wire. An omission may only
-// touch a link of a corrupted process, and the corrupted set is small (at
-// most t of n), so visit_links(S, R) visits, in ascending logical index,
-// only the messages whose sender is in S or whose receiver is in R: a group
-// from a sender in S expands in full; a broadcast from any other sender
-// jumps straight to the ranks of R's members (ProcessSet keeps them as a
-// sorted id list next to its byte mask); a unicast costs one mask test and
-// a list one test per entry. for_each_dropped_link() walks the drop bitset
-// with a group cursor, handing the engine's legality audit each omitted
-// message's endpoints without a locate() per index. visit_index_range()
-// walks every message of an index range; tests use it as the reference.
 //
 // All buffers have round-persistent capacity: after warm-up, a round
 // allocates only whatever the payloads themselves allocate internally.
@@ -221,19 +222,9 @@ class SendLog {
   }
 
   std::uint32_t num_processes() const { return n_; }
-  /// Number of *logical* point-to-point messages queued.
-  std::size_t num_records() const { return static_cast<std::size_t>(total_); }
-  std::size_t num_groups() const { return groups_.size(); }
-  bool empty() const { return total_ == 0; }
 
   /// Stamp the round this log is collecting for (failure-message context).
   void set_round(std::uint32_t round) { round_ = round; }
-  std::uint32_t round() const { return round_; }
-
-  /// Pre-size the receiver arena (e.g. to the edge count of a CSR
-  /// communication graph) so graph-restricted multicast rounds reach
-  /// steady-state without reallocation.
-  void reserve_receivers(std::size_t edges) { receivers_.reserve(edges); }
 
   void send(ProcessId from, ProcessId to, P payload) {
     OMX_CHECK(to < n_, "round " + std::to_string(round_) + ": process " +
@@ -286,33 +277,6 @@ class SendLog {
     total_ += len;
   }
 
-  /// Receivers a group expands to.
-  std::uint32_t fanout(const Group& g) const {
-    switch (g.kind) {
-      case Kind::kUnicast: return 1;
-      case Kind::kBroadcast: return n_ - 1;
-      case Kind::kBroadcastSelf: return n_;
-      case Kind::kList: return g.b;
-    }
-    return 0;
-  }
-
-  /// Receiver of the rank-th logical message of group g (rank < fanout).
-  ProcessId receiver(const Group& g, std::uint64_t rank) const {
-    switch (g.kind) {
-      case Kind::kUnicast:
-        return g.a;
-      case Kind::kBroadcast:
-        return rank < g.from ? static_cast<ProcessId>(rank)
-                             : static_cast<ProcessId>(rank + 1);
-      case Kind::kBroadcastSelf:
-        return static_cast<ProcessId>(rank);
-      case Kind::kList:
-        return receivers_[g.a + rank];
-    }
-    return 0;
-  }
-
  private:
   friend class MessagePlane<P>;
 
@@ -363,7 +327,6 @@ class MessagePlane {
     log_.set_round(round);
     segs_.assign(1, &log_);
     sealed_ = 0;
-    hint_ = 0;
   }
 
   /// Round currently on the wire (as stamped by begin_round).
@@ -373,19 +336,6 @@ class MessagePlane {
 
   /// The wire's own send log — the serial compute phase writes through it.
   SendLog<P>& log() { return log_; }
-
-  void send(ProcessId from, ProcessId to, P payload) {
-    log_.send(from, to, std::move(payload));
-  }
-
-  void broadcast(ProcessId from, P payload, bool include_self) {
-    log_.broadcast(from, std::move(payload), include_self);
-  }
-
-  void multicast(ProcessId from, std::span<const ProcessId> to, P payload,
-                 ProcessId skip = kNobody) {
-    log_.multicast(from, to, std::move(payload), skip);
-  }
 
   /// Stitch the workers' staging arenas onto the wire as segments, in the
   /// order given — which must be ascending shard order: each shard steps
@@ -404,22 +354,14 @@ class MessagePlane {
     }
   }
 
-  // --- indexed logical-message view (adversary phase) ---
+  // --- the sealed wire (adversary phase) ---
 
-  /// Messages on the wire right now (live sum over all segments; the
-  /// indexed accessors below additionally require seal()).
+  /// Messages on the wire right now (live sum over all segments; the walks
+  /// below additionally require seal()).
   std::size_t num_messages() const {
     std::uint64_t total = 0;
     for (const SendLog<P>* s : segs_) total += s->total_;
     return static_cast<std::size_t>(total);
-  }
-  ProcessId from(std::size_t i) const { return wire_[locate(i)].from; }
-  ProcessId to(std::size_t i) const {
-    const WireGroup& g = wire_[locate(i)];
-    return receiver_of(g, i - g.base);
-  }
-  const P& payload(std::size_t i) const {
-    return *wire_[locate(i)].payload;
   }
 
   /// End the send phase: build the flat wire index over all segments
@@ -456,12 +398,6 @@ class MessagePlane {
       wire_bits_ += static_cast<std::uint64_t>(fanout(g)) *
                     payload_bits_[g.pslot];
     }
-    hint_ = 0;
-  }
-
-  /// Bit size of logical message #i (valid after seal()).
-  std::uint64_t payload_bits(std::size_t i) const {
-    return payload_bits_[wire_[locate(i)].pslot];
   }
 
   /// Total bits on the wire this round, dropped or not (valid after seal()).
@@ -476,9 +412,8 @@ class MessagePlane {
   /// Visit every omitted message in ascending logical index with its
   /// endpoints: fn(idx, from, to). A group cursor advances through the
   /// wire index alongside the drop bitset, so the walk costs O(groups +
-  /// drops) with no locate() per index (the engine's legality audit).
-  /// Indices past the sealed wire are not on it and are skipped. Valid
-  /// after seal().
+  /// drops); the engine's legality audit runs on it. Indices past the
+  /// sealed wire are not on it and are skipped. Valid after seal().
   template <class Fn>
   void for_each_dropped_link(Fn&& fn) const {
     std::size_t g = 0;
@@ -549,25 +484,17 @@ class MessagePlane {
     }
   }
 
-  /// Visit every logical message with index in [lo, hi): fn(idx, from, to),
-  /// ascending. Walks the wire index directly (no locate() cursor); the
-  /// whole-wire reference the link walk is tested against. Valid after
-  /// seal().
+  /// Visit every message on the wire in ascending logical index:
+  /// fn(idx, from, to, payload). The copies of one send call share one
+  /// payload reference. The read-only whole-wire walk (wiretaps, the
+  /// referee, and the reference the link walk is tested against). Valid
+  /// after seal().
   template <class Fn>
-  void visit_index_range(std::uint64_t lo, std::uint64_t hi, Fn&& fn) const {
-    if (lo >= hi) return;
-    auto it = std::upper_bound(
-        wire_.begin(), wire_.end(), lo,
-        [](std::uint64_t v, const WireGroup& g) { return v < g.base; });
-    if (it != wire_.begin()) --it;
-    for (; it != wire_.end() && it->base < hi; ++it) {
-      const WireGroup& g = *it;
+  void visit_wire(Fn&& fn) const {
+    for (const WireGroup& g : wire_) {
       const std::uint32_t fan = fanout(g);
-      const std::uint64_t r0 = lo > g.base ? lo - g.base : 0;
-      const std::uint64_t r1 =
-          std::min<std::uint64_t>(fan, hi - g.base);
-      for (std::uint64_t r = r0; r < r1; ++r) {
-        fn(g.base + r, g.from, receiver_of(g, r));
+      for (std::uint32_t r = 0; r < fan; ++r) {
+        fn(g.base + r, g.from, receiver_of(g, r), *g.payload);
       }
     }
   }
@@ -794,25 +721,6 @@ class MessagePlane {
     fn(e.from, *e.payload);
   }
 
-  /// Wire-index group covering logical index i (valid after seal()).
-  /// Wiretaps read indices mostly in ascending order, so a cursor makes
-  /// the common case O(1); random access falls back to binary search over
-  /// group bases. The cursor is not thread-safe; the bulk walks above do
-  /// not use it.
-  std::size_t locate(std::size_t i) const {
-    const auto covers = [&](std::size_t g) {
-      return i >= wire_[g].base && i - wire_[g].base < fanout(wire_[g]);
-    };
-    if (hint_ < wire_.size() && covers(hint_)) return hint_;
-    if (hint_ + 1 < wire_.size() && covers(hint_ + 1)) return ++hint_;
-    auto it = std::upper_bound(
-        wire_.begin(), wire_.end(), static_cast<std::uint64_t>(i),
-        [](std::uint64_t v, const WireGroup& g) { return v < g.base; });
-    OMX_CHECK(it != wire_.begin(), "logical message index out of range");
-    hint_ = static_cast<std::size_t>(it - wire_.begin()) - 1;
-    return hint_;
-  }
-
   std::uint32_t n_;
   std::uint32_t round_ = 0;
   SendLog<P> log_;                  // the wire's own segment (segs_[0])
@@ -821,7 +729,6 @@ class MessagePlane {
   DropSet drops_;
   std::size_t sealed_ = 0;          // wire size recorded at seal()
   std::uint64_t wire_bits_ = 0;     // total bits on the wire, cached at seal()
-  mutable std::size_t hint_ = 0;    // sequential-access cursor for locate()
   std::vector<std::uint64_t> payload_bits_;  // per payload slot, at seal()
 
   // What the last deliver() handed to receivers, readable until the next

@@ -24,7 +24,7 @@
 //   * staged arenas are stitched onto the plane's wire as segments in shard
 //     order — pointers, not copies — which reconstructs the exact serial
 //     record/payload sequence (concatenating ascending-id shards in shard
-//     order *is* ascending id order) — so the adversary's indexed view, the
+//     order *is* ascending id order) — so the adversary's wire walks, the
 //     drop bitset, and delivery are untouched. Arenas are double-banked by
 //     round parity so a delivered wire is never clobbered while the next
 //     round's staging reads it;
@@ -121,8 +121,7 @@ class Runner {
     unsigned threads = 1;
     /// Event-trace sink (trace/trace.h); nullptr = tracing off. The engine
     /// emits every round's events in the canonical order documented there,
-    /// so the stream is bit-identical across thread counts. Ignored when
-    /// tracing is compiled out (OMX_DISABLE_TRACING).
+    /// so the stream is bit-identical across thread counts.
     trace::TraceWriter* trace = nullptr;
   };
 
@@ -198,10 +197,9 @@ class Runner {
     // ledger for the duration of the run, RAII so an engine exception
     // unhooks it) and drained in id order at the shard barrier; corruption
     // transitions are detected by diffing the fault state against
-    // `corrupt_seen` after each intervention. All of it is skipped — and
-    // emit() compiles to nothing — when tracing is off.
-    trace::TraceWriter* const tracer =
-        trace::kCompiledIn ? options_.trace : nullptr;
+    // `corrupt_seen` after each intervention. With no trace sink all of it
+    // is skipped: each event site costs one null check.
+    trace::TraceWriter* const tracer = options_.trace;
     trace::RngTap tap(tracer != nullptr ? n_ : 0);
     const rng::ScopedDrawObserver hook(ledger_,
                                        tracer != nullptr ? &tap : nullptr);

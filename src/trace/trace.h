@@ -31,10 +31,6 @@
 // destructor closes the file, so a run killed by an engine exception (e.g.
 // AdversaryViolation) still leaves a readable trace of everything up to the
 // violation — exactly the runs worth tracing.
-//
-// Compile-time no-op: configuring with -DOMX_DISABLE_TRACING=ON defines
-// OMX_DISABLE_TRACING, kCompiledIn flips to false, and emit() folds to
-// nothing — the engine's trace hooks vanish entirely.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +40,6 @@
 #include <vector>
 
 namespace omx::trace {
-
-#ifdef OMX_DISABLE_TRACING
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 // Event kinds and their field conventions (src / dst / payload):
 //   kRoundBegin  —            /              /
@@ -137,16 +127,11 @@ class TraceWriter {
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   /// Append one record (the engine's hot path: one branch + one 24-byte
-  /// store while the ring has room). A no-op when tracing is compiled out.
+  /// store while the ring has room).
   void emit(const Event& e) {
-    if constexpr (!kCompiledIn) {
-      (void)e;
-      return;
-    } else {
-      if (used_ == ring_.size()) flush_ring();
-      ring_[used_++] = e;
-      ++emitted_;
-    }
+    if (used_ == ring_.size()) flush_ring();
+    ring_[used_++] = e;
+    ++emitted_;
   }
 
   /// Flush the ring and close the file. Idempotent; called by the

@@ -9,7 +9,6 @@ namespace omx::trace {
 
 TraceWriter::TraceWriter(std::string path, std::uint32_t n, bool packed)
     : path_(std::move(path)), packed_(packed) {
-  if constexpr (!kCompiledIn) return;
   file_ = std::fopen(path_.c_str(), "wb");
   OMX_REQUIRE(file_ != nullptr, "trace: cannot open " + path_ + " for writing");
   ring_.resize(kRingEvents);

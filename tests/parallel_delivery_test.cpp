@@ -3,15 +3,16 @@
 // the serial wire exactly, every receiver's delivered sequence equals the
 // wire's surviving logical messages addressed to it (serial and
 // pool-sharded index builds, mixed and all-multicast wires), the link walk
-// and the dropped-link walk equal brute-force filters over the whole wire,
-// drop_links offers its predicate exactly the walk's candidates in
-// ascending index order, and the thread pool's per-lane busy counters
-// actually tick.
+// and the dropped-link walk equal brute-force filters of the whole-wire
+// walk, drop_links offers its predicate exactly the walk's candidates in
+// ascending index order, the adversary's read walk drives a content-based
+// omission, and the thread pool's per-lane busy counters actually tick.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <initializer_list>
 #include <random>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -142,12 +143,25 @@ std::vector<Link> links_by_filter(const MessagePlane<Pay>& plane,
                                   const ProcessSet& senders,
                                   const ProcessSet& receivers) {
   std::vector<Link> out;
-  plane.visit_index_range(
-      0, plane.num_messages(),
-      [&](std::uint64_t i, ProcessId from, ProcessId to) {
+  plane.visit_wire(
+      [&](std::uint64_t i, ProcessId from, ProcessId to, const Pay&) {
         if (senders.contains(from) || receivers.contains(to)) {
           out.emplace_back(i, from, to);
         }
+      });
+  return out;
+}
+
+// The whole wire in walk order: (index, from, to, payload, payload bits),
+// bits measured by bit_size.
+using WireMsg =
+    std::tuple<std::uint64_t, ProcessId, ProcessId, Pay, std::uint64_t>;
+
+std::vector<WireMsg> wire_of(const MessagePlane<Pay>& plane) {
+  std::vector<WireMsg> out;
+  plane.visit_wire(
+      [&](std::uint64_t i, ProcessId from, ProcessId to, const Pay& pay) {
+        out.emplace_back(i, from, to, pay, bit_size(pay));
       });
   return out;
 }
@@ -197,12 +211,12 @@ TEST(Stitch, ReproducesSerialWireExactly) {
 
   ASSERT_EQ(stitched.num_messages(), serial.num_messages());
   ASSERT_GE(serial.num_messages(), MessagePlane<Pay>::kParallelGrain);
-  for (std::size_t i = 0; i < serial.num_messages(); ++i) {
-    ASSERT_EQ(stitched.from(i), serial.from(i)) << "index " << i;
-    ASSERT_EQ(stitched.to(i), serial.to(i)) << "index " << i;
-    ASSERT_EQ(stitched.payload(i), serial.payload(i)) << "index " << i;
-    ASSERT_EQ(stitched.payload_bits(i), serial.payload_bits(i));
+  const std::vector<WireMsg> want = wire_of(serial);
+  ASSERT_EQ(want.size(), serial.num_messages());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    ASSERT_EQ(std::get<0>(want[k]), k) << "the walk skipped an index";
   }
+  EXPECT_EQ(wire_of(stitched), want);
   EXPECT_EQ(stitched.wire_bits(), serial.wire_bits());
 }
 
@@ -220,10 +234,9 @@ using Delivered = std::vector<std::vector<std::pair<ProcessId, Pay>>>;
 // messages addressed to it, in logical-index order.
 Delivered reference_of(const MessagePlane<Pay>& plane) {
   Delivered ref(plane.num_processes());
-  plane.visit_index_range(
-      0, plane.num_messages(),
-      [&](std::uint64_t i, ProcessId from, ProcessId to) {
-        if (!plane.dropped(i)) ref[to].emplace_back(from, plane.payload(i));
+  plane.visit_wire(
+      [&](std::uint64_t i, ProcessId from, ProcessId to, const Pay& pay) {
+        if (!plane.dropped(i)) ref[to].emplace_back(from, pay);
       });
   return ref;
 }
@@ -326,9 +339,10 @@ TEST(LinkWalk, DroppedLinkWalkMatchesIndexedEndpoints) {
   }
   plane.mark_dropped(mm - 1);
   std::vector<Link> want;
-  for (std::size_t i = 0; i < mm; ++i) {
-    if (plane.dropped(i)) want.emplace_back(i, plane.from(i), plane.to(i));
-  }
+  plane.visit_wire(
+      [&](std::uint64_t i, ProcessId from, ProcessId to, const Pay&) {
+        if (plane.dropped(i)) want.emplace_back(i, from, to);
+      });
   std::vector<Link> got;
   plane.for_each_dropped_link(
       [&](std::size_t i, ProcessId from, ProcessId to) {
@@ -342,11 +356,10 @@ TEST(LinkWalk, DroppedLinkWalkCoversAFullyDroppedWire) {
   MessagePlane<Pay> plane(kN);
   std::vector<SendLog<Pay>> stage;
   build_stitched(plane, stage, 0, queue_every_shape);
-  std::vector<Link> want;
-  for (std::size_t i = 0; i < plane.num_messages(); ++i) {
-    plane.mark_dropped(i);
-    want.emplace_back(i, plane.from(i), plane.to(i));
-  }
+  for (std::size_t i = 0; i < plane.num_messages(); ++i) plane.mark_dropped(i);
+  const std::vector<Link> want =
+      links_by_filter(plane, full_set(), ProcessSet{});
+  ASSERT_EQ(want.size(), plane.num_messages());
   std::vector<Link> got;
   plane.for_each_dropped_link(
       [&](std::size_t i, ProcessId from, ProcessId to) {
@@ -379,9 +392,8 @@ TEST(BulkAdversary, DropLinksMatchesWholeWireBitset) {
 
   ASSERT_EQ(stitched.num_messages(), serial.num_messages());
   std::size_t want = 0;
-  serial.visit_index_range(
-      0, serial.num_messages(),
-      [&](std::uint64_t i, ProcessId from, ProcessId to) {
+  serial.visit_wire(
+      [&](std::uint64_t i, ProcessId from, ProcessId to, const Pay&) {
         const bool drop = from != to && pred(from, to);
         want += drop ? 1 : 0;
         ASSERT_EQ(serial.dropped(i), drop) << "index " << i;
@@ -403,9 +415,8 @@ TEST(BulkAdversary, DropLinksRejectsIllegalMatch) {
   ProcessSet senders(kN);
   for (ProcessId p = 10; p < kN; ++p) senders.insert(p);
   std::string want;
-  plane.visit_index_range(
-      0, plane.num_messages(),
-      [&](std::uint64_t, ProcessId from, ProcessId to) {
+  plane.visit_wire(
+      [&](std::uint64_t, ProcessId from, ProcessId to, const Pay&) {
         if (want.empty() && from >= 10 && to >= 10 && from != to) {
           want = std::to_string(from) + "->" + std::to_string(to) + " ";
         }
@@ -461,6 +472,81 @@ TEST(BulkAdversary, DropLinksOffersCandidatesInAscendingIndexOrder) {
   }
 }
 
+// The adversary's read walk on a stitched wire of every group shape: one
+// message per logical index in visit_wire order, one payload address per
+// stored slot (the copies of a send call share it). A content-based
+// omission walks first and then replays its selection through drop_links
+// with a stateful predicate; it drops exactly the links the walk selected.
+TEST(BulkAdversary, ContextReadWalkDrivesAContentOmission) {
+  MessagePlane<Pay> plane(kN);
+  std::vector<SendLog<Pay>> stage;
+  build_stitched(plane, stage, 0, queue_every_shape);
+  FaultState faults(kN, kN);
+  for (ProcessId p = 0; p < kN; p += 3) faults.corrupt(p);
+  AdversaryContext<Pay> ctx(0, &plane, &faults);
+
+  using Seen = std::tuple<ProcessId, ProcessId, const Pay*>;
+  std::vector<Seen> seen;
+  ctx.for_each_message([&](ProcessId from, ProcessId to, const Pay& pay) {
+    seen.emplace_back(from, to, &pay);
+  });
+  std::vector<Seen> want;
+  plane.visit_wire(
+      [&](std::uint64_t, ProcessId from, ProcessId to, const Pay& pay) {
+        want.emplace_back(from, to, &pay);
+      });
+  ASSERT_EQ(seen.size(), plane.num_messages());
+  EXPECT_EQ(seen, want);
+
+  // Every message of a group carries its group's payload address, and no
+  // two groups share one: 3 send calls, so 3 stored slots, per process.
+  std::vector<std::size_t> starts = group_starts_every_shape();
+  starts.push_back(seen.size());
+  std::set<const Pay*> slots;
+  for (std::size_t g = 0; g + 1 < starts.size(); ++g) {
+    const Pay* const slot = std::get<2>(seen[starts[g]]);
+    slots.insert(slot);
+    for (std::size_t i = starts[g]; i < starts[g + 1]; ++i) {
+      ASSERT_EQ(std::get<2>(seen[i]), slot) << "index " << i;
+    }
+  }
+  EXPECT_EQ(slots.size(), 3u * kN);
+
+  // Select by content: odd payloads on the links drop_links will offer
+  // (a corrupted endpoint, not a self-delivery), in walk order.
+  std::vector<std::pair<ProcessId, ProcessId>> offered;
+  std::vector<bool> selected;
+  ctx.for_each_message([&](ProcessId from, ProcessId to, const Pay& pay) {
+    if (from == to || !(faults.is_corrupted(from) || faults.is_corrupted(to))) {
+      return;
+    }
+    offered.emplace_back(from, to);
+    selected.push_back(pay.v % 2 == 1);
+  });
+  std::size_t next = 0;
+  ctx.drop_links(ctx.corrupted(), ctx.corrupted(),
+                 [&](ProcessId from, ProcessId to) {
+                   EXPECT_LT(next, offered.size());
+                   if (next >= offered.size()) return false;
+                   EXPECT_EQ(offered[next], std::make_pair(from, to))
+                       << "candidate " << next;
+                   return static_cast<bool>(selected[next++]);
+                 });
+  EXPECT_EQ(next, offered.size());
+
+  std::size_t want_drops = 0;
+  plane.visit_wire(
+      [&](std::uint64_t i, ProcessId from, ProcessId to, const Pay& pay) {
+        const bool drop =
+            from != to && pay.v % 2 == 1 &&
+            (faults.is_corrupted(from) || faults.is_corrupted(to));
+        want_drops += drop ? 1 : 0;
+        EXPECT_EQ(plane.dropped(i), drop) << "index " << i;
+      });
+  EXPECT_GT(want_drops, 0u);
+  EXPECT_EQ(ctx.num_dropped(), want_drops);
+}
+
 TEST(StreamedDelivery, AllMulticastWireTakesTheListOnlyPathCorrectly) {
   // Every send is a kList multicast (a graph-restricted machine's wire):
   // receivers walk only their own index entries, no broadcast list.
@@ -469,7 +555,7 @@ TEST(StreamedDelivery, AllMulticastWireTakesTheListOnlyPathCorrectly) {
   for (std::uint32_t p = 0; p < kN; ++p) {
     std::vector<ProcessId> neigh;
     for (std::uint32_t d = 1; d <= 20; ++d) neigh.push_back((p + d) % kN);
-    plane.multicast(p, neigh, Pay{p});
+    plane.log().multicast(p, neigh, Pay{p});
   }
   plane.seal();
   drop_some(plane);
@@ -494,7 +580,7 @@ TEST(ThreadPoolClocks, LaneBusyCountersTick) {
   }
   pool.run([](unsigned) {
     volatile std::uint64_t x = 0;
-    for (int i = 0; i < 2'000'000; ++i) x += i;
+    for (int i = 0; i < 2'000'000; ++i) x = x + i;
   });
   for (unsigned w = 0; w < kLanes; ++w) {
     EXPECT_GT(pool.lane_busy_ns(w), 0u) << "lane " << w;

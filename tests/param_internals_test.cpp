@@ -87,12 +87,13 @@ TEST(ParamInternals, GossipFloodsOnGraphNotAllToAll) {
     void intervene(sim::AdversaryContext<Msg>& ctx) override {
       std::map<sim::ProcessId, std::uint32_t> per_sender;
       bool any_gossip = false;
-      for (const auto& m : ctx.messages()) {
-        if (std::get_if<GossipMsg>(&m.payload) != nullptr) {
-          any_gossip = true;
-          ++per_sender[m.from];
-        }
-      }
+      ctx.for_each_message(
+          [&](sim::ProcessId from, sim::ProcessId, const Msg& payload) {
+            if (std::get_if<GossipMsg>(&payload) != nullptr) {
+              any_gossip = true;
+              ++per_sender[from];
+            }
+          });
       if (!any_gossip) return;
       for (const auto& [p, count] : per_sender) {
         max_fanout_ = std::max(max_fanout_, count);
@@ -123,14 +124,15 @@ TEST(ParamInternals, InnerRunsNeverLeakOutsideTheirSuperProcess) {
   class LeakAuditor final : public sim::Adversary<Msg> {
    public:
     void intervene(sim::AdversaryContext<Msg>& ctx) override {
-      for (const auto& m : ctx.messages()) {
-        const bool inner_kind =
-            std::get_if<RelayPush>(&m.payload) != nullptr ||
-            std::get_if<RelayAck>(&m.payload) != nullptr ||
-            std::get_if<RelayShare>(&m.payload) != nullptr ||
-            std::get_if<SpreadMsg>(&m.payload) != nullptr;
-        if (inner_kind && m.from / 20 != m.to / 20) ++leaks_;
-      }
+      ctx.for_each_message(
+          [&](sim::ProcessId from, sim::ProcessId to, const Msg& payload) {
+            const bool inner_kind =
+                std::get_if<RelayPush>(&payload) != nullptr ||
+                std::get_if<RelayAck>(&payload) != nullptr ||
+                std::get_if<RelayShare>(&payload) != nullptr ||
+                std::get_if<SpreadMsg>(&payload) != nullptr;
+            if (inner_kind && from / 20 != to / 20) ++leaks_;
+          });
     }
     std::uint64_t leaks_ = 0;
   } auditor;

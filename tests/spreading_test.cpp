@@ -73,14 +73,15 @@ class ForwardOnceAuditor final : public sim::Adversary<Msg> {
 
   void intervene(sim::AdversaryContext<Msg>& ctx) override {
     const std::uint32_t epoch = ctx.round() / epoch_rounds_;
-    for (const auto& m : ctx.messages()) {
-      const auto* sm = std::get_if<SpreadMsg>(&m.payload);
-      if (sm == nullptr) continue;
-      for (const auto& e : sm->entries) {
-        const auto key = std::make_tuple(epoch, m.from, m.to, e.group);
-        violations_ += !seen_.insert(key).second;
-      }
-    }
+    ctx.for_each_message(
+        [&](sim::ProcessId from, sim::ProcessId to, const Msg& payload) {
+          const auto* sm = std::get_if<SpreadMsg>(&payload);
+          if (sm == nullptr) return;
+          for (const auto& e : sm->entries) {
+            const auto key = std::make_tuple(epoch, from, to, e.group);
+            violations_ += !seen_.insert(key).second;
+          }
+        });
   }
 
   std::uint64_t violations() const { return violations_; }
@@ -113,15 +114,15 @@ class PayloadSharingAuditor final : public sim::Adversary<Msg> {
  public:
   void intervene(sim::AdversaryContext<Msg>& ctx) override {
     std::map<sim::ProcessId, const Msg*> first;
-    for (std::size_t i = 0; i < ctx.num_messages(); ++i) {
-      const Msg& payload = ctx.payload(i);
-      if (!std::holds_alternative<SpreadMsg>(payload)) continue;
-      ++spread_messages_;
-      const auto [it, fresh] = first.emplace(ctx.from(i), &payload);
-      if (fresh) continue;
-      ++repeats_;
-      copies_ += it->second != &payload;
-    }
+    ctx.for_each_message(
+        [&](sim::ProcessId from, sim::ProcessId, const Msg& payload) {
+          if (!std::holds_alternative<SpreadMsg>(payload)) return;
+          ++spread_messages_;
+          const auto [it, fresh] = first.emplace(from, &payload);
+          if (fresh) return;
+          ++repeats_;
+          copies_ += it->second != &payload;
+        });
   }
 
   std::uint64_t spread_messages_ = 0;
@@ -163,11 +164,12 @@ TEST(Spreading, HeartbeatBitsAreSmall) {
   class HeartbeatCounter final : public sim::Adversary<Msg> {
    public:
     void intervene(sim::AdversaryContext<Msg>& ctx) override {
-      for (const auto& m : ctx.messages()) {
-        if (const auto* sm = std::get_if<SpreadMsg>(&m.payload)) {
-          heartbeat_bits_ += sm->entries.empty() ? sm->bit_size() : 0;
-        }
-      }
+      ctx.for_each_message(
+          [&](sim::ProcessId, sim::ProcessId, const Msg& payload) {
+            if (const auto* sm = std::get_if<SpreadMsg>(&payload)) {
+              heartbeat_bits_ += sm->entries.empty() ? sm->bit_size() : 0;
+            }
+          });
     }
     std::uint64_t heartbeat_bits_ = 0;
   } counter;

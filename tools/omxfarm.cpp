@@ -1,6 +1,6 @@
 // omxfarm — fork-isolated, crash-safe distributed sweep farm.
 //
-//   omxfarm run    --dir farm --algo optimal --attack chaos \
+//   omxfarm run    --dir farm --algo optimal --attack chaos
 //                  --n 64,128,256 --seeds 25 --workers 4 --watchdog-ms 60000
 //   omxfarm serve  --dir farm --listen tcp:0.0.0.0:7717 [grid flags]
 //                                       # daemon leasing to remote workers
@@ -95,6 +95,12 @@ std::vector<harness::ExperimentConfig> expand_grid(const ArgParser& args) {
                                               &base.attack) &&
                   harness::inputs_from_string(args.get("inputs"), &base.inputs),
               "bad algo/attack/inputs value");
+  // A schedule attack replays an op list, and the grid has no flag to
+  // carry one: every item would run an empty schedule and record "ok".
+  OMX_REQUIRE(base.attack != harness::Attack::Schedule,
+              "--attack schedule needs an op list, which omxfarm cannot "
+              "carry; replay one with omxsim --attack schedule --schedule "
+              "<ops>, or search for one with omxadv");
   base.x = static_cast<std::uint32_t>(args.get_int("x"));
   base.drop_prob = args.get_double("drop-prob");
   if (args.get("params") == "paper") base.params = core::Params::paper();
@@ -194,8 +200,10 @@ int cmd_run(int argc, char** argv, bool serve) {
         1 + static_cast<std::uint32_t>(args.get_int("retries"));
   }
 
+  // Expand first, so a refused grid leaves no farm state behind.
+  const std::vector<harness::ExperimentConfig> grid = expand_grid(args);
   farm::Farm daemon(opts);
-  for (const auto& cfg : expand_grid(args)) daemon.add(cfg);
+  for (const auto& cfg : grid) daemon.add(cfg);
 
   const farm::FarmReport report = daemon.run();
   std::string utilization;
