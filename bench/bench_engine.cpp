@@ -301,8 +301,8 @@ int run_bench(int argc, char** argv) {
 
   // Trace-overhead A/B on the flood-heavy n=1024 workload: tracing off
   // (the default hot path) vs tracing on (every send, drop and draw
-  // written through the ring: ~4.2M records, ~106 MB). The untraced run
-  // takes ~20 ms, so writing the trace dominates the traced one and
+  // encoded through the ring: ~4.2M records, ~4 MB packed). The untraced
+  // run takes ~20 ms, so writing the trace dominates the traced one and
   // overhead_pct reads several hundred percent. Nothing gates it: it
   // records what a traced run of this size costs. Best-of-N like
   // everything above.

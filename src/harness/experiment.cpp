@@ -235,8 +235,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // model-violation class.
   std::unique_ptr<trace::TraceWriter> tracer;
   if (!cfg.trace_path.empty()) {
-    tracer = std::make_unique<trace::TraceWriter>(cfg.trace_path, cfg.n,
-                                                  cfg.trace_packed);
+    tracer = std::make_unique<trace::TraceWriter>(cfg.trace_path, cfg.n);
   }
 
   // Validate the whole config eagerly so a bad trial fails here, with the

@@ -93,10 +93,6 @@ struct ExperimentConfig {
   /// (trace/trace.h format; analyze with `omxtrace stats|dump|diff`). The
   /// stream is bit-identical across `threads` settings.
   std::string trace_path;
-  /// Write the trace in the packed (compressed-block) storage format — the
-  /// same event stream, ~5-25x fewer bytes on disk; every reader handles
-  /// both formats transparently. Outcome-neutral, like trace_path.
-  bool trace_packed = false;
 };
 
 struct ExperimentResult {

@@ -135,9 +135,7 @@ TraceTotals totals(std::span<const Event> events) {
 
 Divergence first_divergence(const TraceData& a, const TraceData& b) {
   Divergence d;
-  // Only `n` is semantic: version 1 (raw) and 2 (packed) are encodings of
-  // the same record stream, and both arrive here fully decoded, so a packed
-  // trace must diff as equal against its unpacked twin.
+  // Only `n` is semantic: the rest of the header is fixed by the format.
   if (a.header.n != b.header.n) {
     d.diverged = true;
     d.header_mismatch = true;
@@ -161,10 +159,10 @@ Divergence first_divergence(const TraceData& a, const TraceData& b) {
 
 void print_stats(const TraceData& t, std::ostream& os) {
   char buf[256];
-  std::snprintf(buf, sizeof buf, "trace: n=%u, %zu event(s), %s format\n",
-                t.header.n, t.events.size(), t.packed ? "packed" : "raw");
+  std::snprintf(buf, sizeof buf, "trace: n=%u, %zu event(s)\n", t.header.n,
+                t.events.size());
   os << buf;
-  if (t.packed && t.file_bytes > 0) {
+  if (t.file_bytes > 0) {
     std::snprintf(buf, sizeof buf,
                   "packed: %llu byte(s) on disk, %llu raw — ratio %.2fx\n",
                   static_cast<unsigned long long>(t.file_bytes),

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "support/check.h"
-#include "trace/reader.h"
 
 namespace omx::trace {
 
@@ -155,12 +154,6 @@ void decode_block_body(const std::string& body, std::uint64_t n_records,
                                 std::to_string(body.size() - pos) +
                                 " trailing byte(s) after its columns");
   }
-}
-
-void write_trace(const TraceData& t, const std::string& path, bool packed) {
-  TraceWriter writer(path, t.header.n, packed);
-  for (const Event& e : t.events) writer.emit(e);
-  writer.close();
 }
 
 PackedDecoder::PackedDecoder(std::FILE* file, std::string path,

@@ -1,5 +1,6 @@
-// Streaming compression for trace record streams (format flag bit 0 of the
-// OMXTRACE header's flags word — see trace/trace.h).
+// The body encoding of every trace file (format version 2 — see
+// trace/trace.h): the writer encodes, the reader decodes, and nothing else
+// touches the bytes.
 //
 // A flood-heavy trace is overwhelmingly regular: long runs of kSend records
 // whose round is constant, whose src is constant per broadcast, whose dst
@@ -42,8 +43,6 @@
 #include "trace/trace.h"
 
 namespace omx::trace {
-
-struct TraceData;  // reader.h
 
 /// First byte of every packed block. Not a resynchronization point (blocks
 /// are length-prefixed), just a cheap "this is not record debris" tripwire.
@@ -92,13 +91,6 @@ class PackedDecoder {
   std::uint64_t consumed_ = 0;
   std::string body_;        // scratch for the current block's body
 };
-
-/// Re-encode a loaded trace to `path` in the requested storage format —
-/// the workhorse of `omxtrace pack|unpack`. Writing goes through
-/// TraceWriter, so pack(unpack(p)) == p and unpack(pack(t)) == t byte for
-/// byte: block boundaries fall exactly where the original writer's ring
-/// flushes fell.
-void write_trace(const TraceData& t, const std::string& path, bool packed);
 
 /// Decode one block body (already checksum-validated) into `events`.
 /// Internal helper shared with the tests; throws CorruptInputError with

@@ -19,7 +19,7 @@ struct FileCloser {
 }  // namespace
 
 // Every validation failure throws CorruptInputError carrying the path and
-// the byte offset of the first bad record or block, so `omxtrace` reports
+// the byte offset of the bad header field or block, so `omxtrace` reports
 // exactly where a file went wrong and exits with the corrupt-input code (5)
 // instead of a generic failure.
 TraceData read_trace(const std::string& path) {
@@ -35,33 +35,28 @@ TraceData read_trace(const std::string& path) {
   if (std::memcmp(data.header.magic, kMagic, sizeof kMagic) != 0) {
     throw CorruptInputError(path, 0, "not a trace file (bad magic)");
   }
-  if (data.header.version != kFormatVersion &&
-      data.header.version != kFormatVersionPacked) {
+  if (data.header.version != kFormatVersion) {
     throw CorruptInputError(
         path, offsetof(FileHeader, version),
         "format version " + std::to_string(data.header.version) +
-            ", expected " + std::to_string(kFormatVersion) + " or " +
-            std::to_string(kFormatVersionPacked) +
-            " (or the file was written on a different-endian machine)");
+            ", expected " + std::to_string(kFormatVersion) +
+            (data.header.version == 1
+                 ? " (version 1 stored raw records, which are no longer "
+                   "read; runs are deterministic, so `omxsim --repro "
+                   "<capture> --trace <path>` or the original command line "
+                   "writes the same events again)"
+                 : " (or the file was written on a different-endian "
+                   "machine)"));
   }
-  if ((data.header.flags & ~kHeaderKnownFlags) != 0) {
-    // Unknown flag bits mean an unknown body layout: reading the records
+  if (data.header.flags != kHeaderFlags) {
+    // Unknown flag bits mean an unknown body layout: reading the blocks
     // anyway would silently misparse, so fail at the flag word instead.
-    char bits[32];
-    std::snprintf(bits, sizeof bits, "0x%llx",
-                  static_cast<unsigned long long>(data.header.flags &
-                                                  ~kHeaderKnownFlags));
+    char bits[64];
+    std::snprintf(bits, sizeof bits, "0x%llx, expected 0x%llx",
+                  static_cast<unsigned long long>(data.header.flags),
+                  static_cast<unsigned long long>(kHeaderFlags));
     throw CorruptInputError(path, offsetof(FileHeader, flags),
-                            std::string("unknown header flag bits ") + bits);
-  }
-  data.packed = (data.header.flags & kHeaderFlagPacked) != 0;
-  if (data.packed != (data.header.version == kFormatVersionPacked)) {
-    // The packed flag and the version must agree; a header where they
-    // disagree was stitched or flipped, and guessing the body layout from
-    // either field alone risks the misparse both exist to prevent.
-    throw CorruptInputError(path, offsetof(FileHeader, flags),
-                            "header flags disagree with format version " +
-                                std::to_string(data.header.version));
+                            std::string("header flags ") + bits);
   }
 
   OMX_REQUIRE(std::fseek(file.get(), 0, SEEK_END) == 0,
@@ -69,57 +64,16 @@ TraceData read_trace(const std::string& path) {
   const long end = std::ftell(file.get());
   OMX_REQUIRE(end >= 0, "trace: cannot tell file size of " + path);
   data.file_bytes = static_cast<std::uint64_t>(end);
-  const std::size_t body = static_cast<std::size_t>(end) - sizeof data.header;
   OMX_REQUIRE(std::fseek(file.get(), sizeof data.header, SEEK_SET) == 0,
               "trace: cannot seek in " + path);
 
-  if (data.packed) {
-    // Incremental block decode: each block is validated (marker, lengths,
-    // checksum, run-length bookkeeping) before its records are kept, and
-    // corruption is reported at the offending block's byte offset.
-    PackedDecoder decoder(file.get(), path, sizeof data.header);
-    std::vector<Event> block;
-    while (decoder.next(&block)) {
-      data.events.insert(data.events.end(), block.begin(), block.end());
-    }
-    return data;
-  }
-
-  // A tail that is not a whole record means the writer was killed without
-  // unwinding (the destructor flushes even on engine exceptions) — refuse
-  // to present half a record as data. Checked by size up front: fread
-  // consumes a partial trailing item while reporting 0 items read, so it
-  // cannot be detected after the fact.
-  if (body % sizeof(Event) != 0) {
-    // The offset names the start of the partial record: everything before
-    // it is intact data a salvage tool could keep.
-    const std::size_t whole = body / sizeof(Event);
-    throw CorruptInputError(path,
-                            sizeof data.header + whole * sizeof(Event),
-                            "truncated trailing record (" +
-                                std::to_string(body % sizeof(Event)) +
-                                " stray byte(s) after " +
-                                std::to_string(whole) + " whole record(s))");
-  }
-
-  std::vector<Event> chunk(4096);
-  for (;;) {
-    const std::size_t got =
-        std::fread(chunk.data(), sizeof(Event), chunk.size(), file.get());
-    data.events.insert(data.events.end(), chunk.begin(),
-                       chunk.begin() + static_cast<std::ptrdiff_t>(got));
-    if (got < chunk.size()) break;
-  }
-  OMX_CHECK(data.events.size() == body / sizeof(Event),
-            "trace: short read from " + path);
-  for (std::size_t i = 0; i < data.events.size(); ++i) {
-    const Event& e = data.events[i];
-    if (!(e.kind >= 1 && e.kind <= kMaxKind)) {
-      throw CorruptInputError(path, sizeof data.header + i * sizeof(Event),
-                              "record " + std::to_string(i) +
-                                  " has unknown kind " +
-                                  std::to_string(e.kind));
-    }
+  // Incremental block decode: each block is validated (marker, lengths,
+  // checksum, run-length bookkeeping) before its records are kept, and
+  // corruption is reported at the offending block's byte offset.
+  PackedDecoder decoder(file.get(), path, sizeof data.header);
+  std::vector<Event> block;
+  while (decoder.next(&block)) {
+    data.events.insert(data.events.end(), block.begin(), block.end());
   }
   return data;
 }

@@ -1,7 +1,5 @@
-// Trace-file loading: the read side of trace/trace.h's binary format.
-// Both on-disk layouts — raw fixed-width records and packed blocks
-// (trace/codec.h) — decode to the same TraceData; callers never branch on
-// the storage format except to report it.
+// Trace-file loading: the read side of trace/trace.h's format. The packed
+// blocks of the body (trace/codec.h) decode to one flat event stream.
 #pragma once
 
 #include <cstdint>
@@ -16,21 +14,20 @@ namespace omx::trace {
 struct TraceData {
   FileHeader header{};
   std::vector<Event> events;
-  bool packed = false;       // true if the file body was compressed blocks
   std::uint64_t file_bytes = 0;  // on-disk size, incl. header
 
-  /// Size the same stream would occupy raw (header + fixed-width records);
-  /// packed ratio = raw_bytes() / file_bytes.
+  /// Size of the stream as fixed-width records behind the header; the pack
+  /// ratio is raw_bytes() / file_bytes.
   std::uint64_t raw_bytes() const {
     return sizeof(FileHeader) + events.size() * sizeof(Event);
   }
 };
 
-/// Load `path`, validating magic, format version, header flags, record
-/// alignment / block checksums, and event kinds. Throws CorruptInputError
-/// (exit 5 via guarded_main) with the byte offset of the first bad record
-/// or block on a missing, foreign, truncated or bit-flipped file — analysis
-/// code can assume a loaded trace is well-formed.
+/// Load `path`, validating magic, format version, header flags, block
+/// checksums and event kinds. Throws CorruptInputError (exit 5 via
+/// guarded_main) with the byte offset of the first bad header field or
+/// block on a missing, foreign, old-format, truncated or bit-flipped file —
+/// analysis code can assume a loaded trace is well-formed.
 TraceData read_trace(const std::string& path);
 
 }  // namespace omx::trace

@@ -1,11 +1,12 @@
-// Event-level execution tracing: the binary record format and the writer.
+// Event-level execution tracing: the record format and the writer.
 //
 // The engine's Metrics are end-of-run aggregates; debugging a wrong scaling
 // exponent or a determinism break needs the events themselves: who sent
 // what, what the adversary dropped, which coins were drawn, who decided
-// when. A trace is a flat stream of fixed-width 24-byte records behind a
-// 24-byte header, so a run's observable history can be diffed with cmp,
-// replayed by omxtrace, and compared across thread counts byte for byte.
+// when. A trace is a stream of fixed-width 24-byte records, stored behind a
+// 24-byte header as packed blocks (trace/codec.h), so a run's observable
+// history can be diffed with cmp, replayed by omxtrace, and compared across
+// thread counts byte for byte.
 //
 // Bit-identity invariant (the whole point of the format): the event stream
 // of a run is a pure function of the ExperimentConfig — independent of the
@@ -25,10 +26,10 @@
 //                field is the decision round, so they are the one place the
 //                stream's round numbers are non-monotone)
 //
-// Records are written in host byte order (the header's version field makes
+// The header is written in host byte order (its version field makes
 // cross-endian misreads fail loudly). The writer batches events in a
-// fixed-capacity ring that is flushed when full and on close; its
-// destructor closes the file, so a run killed by an engine exception (e.g.
+// fixed-capacity ring and encodes each flush as one block; its destructor
+// closes the file, so a run killed by an engine exception (e.g.
 // AdversaryViolation) still leaves a readable trace of everything up to the
 // violation — exactly the runs worth tracing.
 #pragma once
@@ -60,48 +61,41 @@ inline constexpr std::uint16_t kFinish = 6;
 inline constexpr std::uint16_t kDecide = 7;
 inline constexpr std::uint16_t kMaxKind = 7;
 
-/// One fixed-width trace record. Plain old data, written to disk verbatim.
+/// One fixed-width trace record: the unit the codec's columns split up.
 struct Event {
   std::uint32_t round = 0;
   std::uint16_t kind = 0;
-  std::uint16_t flags = 0;  // reserved, always 0 in format version 1
+  std::uint16_t flags = 0;  // reserved, always 0
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
   std::uint64_t payload = 0;
 
   friend bool operator==(const Event&, const Event&) = default;
 };
-static_assert(sizeof(Event) == 24, "trace records are 24 bytes on disk");
+static_assert(sizeof(Event) == 24, "trace records are 24 bytes wide");
 static_assert(std::is_trivially_copyable_v<Event>,
-              "trace records are written/read as raw bytes");
+              "trace records are copied as raw bytes");
 
 inline constexpr char kMagic[8] = {'O', 'M', 'X', 'T', 'R', 'A', 'C', 'E'};
 
-/// Format versions. Version 1 is the original raw layout: the header
-/// followed by naked 24-byte records. Version 2 is a *packed* body — a
-/// sequence of self-contained compressed blocks (see trace/codec.h).
-/// Packed files bump the version rather than only setting a flag bit
-/// because version-1 readers predating the codec never validated the
-/// (then-reserved) flag word: a flag-only marker would let them misparse
-/// a compressed body as raw records, while an unknown version is rejected
-/// by every reader ever shipped.
-inline constexpr std::uint32_t kFormatVersion = 1;
-inline constexpr std::uint32_t kFormatVersionPacked = 2;
+/// The one format version. Version 1 stored naked 24-byte records and is
+/// no longer read; version 2 stores the body as packed blocks (see
+/// trace/codec.h). A reader that meets any other version refuses the file
+/// at the version field rather than guess at its body.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
-/// Header flag bits, stored in FileHeader::flags. Bit 0 marks a packed
-/// body and is set exactly when version == kFormatVersionPacked (readers
-/// reject a header where the two disagree). Any other bit set is an
-/// unknown format extension and readers must refuse it as corrupt input
-/// rather than misparse the body.
-inline constexpr std::uint64_t kHeaderFlagPacked = std::uint64_t{1} << 0;
-inline constexpr std::uint64_t kHeaderKnownFlags = kHeaderFlagPacked;
+/// The one header flag word, stored in FileHeader::flags: bit 0, set since
+/// version 2 marked a packed body. Any other value is an unknown format
+/// extension and readers refuse it as corrupt input rather than misparse
+/// the body.
+inline constexpr std::uint64_t kHeaderFlags = std::uint64_t{1} << 0;
 
 /// The 24-byte file header preceding the record stream.
 struct FileHeader {
   char magic[8];
   std::uint32_t version;
   std::uint32_t n;      // process count of the traced system
-  std::uint64_t flags;  // kHeaderFlag* bits; 0 = raw fixed-width records
+  std::uint64_t flags;  // always kHeaderFlags
 };
 static_assert(sizeof(FileHeader) == 24, "trace header is 24 bytes on disk");
 static_assert(std::is_trivially_copyable_v<FileHeader>,
@@ -112,15 +106,12 @@ static_assert(std::is_trivially_copyable_v<FileHeader>,
 /// drained at the shard barrier — see RngTap).
 class TraceWriter {
  public:
-  /// Events batched between fwrite flushes (64Ki records = 1.5 MiB).
+  /// Events batched per flush, each flush one packed block (64Ki records).
   static constexpr std::size_t kRingEvents = std::size_t{1} << 16;
 
-  /// Opens `path` for writing and emits the header. With `packed`, the
-  /// body is written as compressed blocks (one per ring flush — see
-  /// trace/codec.h) and the header carries kHeaderFlagPacked; the record
-  /// *stream* is identical either way, only the bytes on disk differ.
-  /// Throws PreconditionError if the file cannot be created.
-  TraceWriter(std::string path, std::uint32_t n, bool packed = false);
+  /// Opens `path` for writing and emits the header. Throws
+  /// PreconditionError if the file cannot be created.
+  TraceWriter(std::string path, std::uint32_t n);
   ~TraceWriter();
 
   TraceWriter(const TraceWriter&) = delete;
@@ -141,7 +132,6 @@ class TraceWriter {
 
   std::uint64_t emitted() const { return emitted_; }
   const std::string& path() const { return path_; }
-  bool packed() const { return packed_; }
 
  private:
   void flush_ring();
@@ -151,8 +141,7 @@ class TraceWriter {
   std::vector<Event> ring_;
   std::size_t used_ = 0;
   std::uint64_t emitted_ = 0;
-  bool packed_ = false;
-  std::string pack_buffer_;  // reused scratch for packed flushes
+  std::string pack_buffer_;  // reused scratch for the encoded block
 };
 
 }  // namespace omx::trace

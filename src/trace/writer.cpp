@@ -7,16 +7,16 @@
 
 namespace omx::trace {
 
-TraceWriter::TraceWriter(std::string path, std::uint32_t n, bool packed)
-    : path_(std::move(path)), packed_(packed) {
+TraceWriter::TraceWriter(std::string path, std::uint32_t n)
+    : path_(std::move(path)) {
   file_ = std::fopen(path_.c_str(), "wb");
   OMX_REQUIRE(file_ != nullptr, "trace: cannot open " + path_ + " for writing");
   ring_.resize(kRingEvents);
   FileHeader header{};
   std::memcpy(header.magic, kMagic, sizeof kMagic);
-  header.version = packed_ ? kFormatVersionPacked : kFormatVersion;
+  header.version = kFormatVersion;
   header.n = n;
-  header.flags = packed_ ? kHeaderFlagPacked : 0;
+  header.flags = kHeaderFlags;
   const std::size_t wrote = std::fwrite(&header, sizeof header, 1, file_);
   OMX_CHECK(wrote == 1, "trace: short header write to " + path_);
 }
@@ -44,19 +44,13 @@ void TraceWriter::close() {
 
 void TraceWriter::flush_ring() {
   if (used_ == 0) return;
-  if (packed_) {
-    // One self-contained block per flush: a killed writer tears at most the
-    // final block, and the decoder names its offset (see trace/codec.h).
-    pack_buffer_.clear();
-    encode_block({ring_.data(), used_}, &pack_buffer_);
-    const std::size_t wrote =
-        std::fwrite(pack_buffer_.data(), 1, pack_buffer_.size(), file_);
-    OMX_CHECK(wrote == pack_buffer_.size(), "trace: short write to " + path_);
-  } else {
-    const std::size_t wrote =
-        std::fwrite(ring_.data(), sizeof(Event), used_, file_);
-    OMX_CHECK(wrote == used_, "trace: short write to " + path_);
-  }
+  // One self-contained block per flush: a killed writer tears at most the
+  // final block, and the decoder names its offset (see trace/codec.h).
+  pack_buffer_.clear();
+  encode_block({ring_.data(), used_}, &pack_buffer_);
+  const std::size_t wrote =
+      std::fwrite(pack_buffer_.data(), 1, pack_buffer_.size(), file_);
+  OMX_CHECK(wrote == pack_buffer_.size(), "trace: short write to " + path_);
   used_ = 0;
 }
 

@@ -10,17 +10,17 @@
 // also pins thread-count invariance.
 //
 // Trace hashes are pinned at the small sizes (a traced flood run emits one
-// event per logical message, so an n=1024 trace is ~100 MB); the n=1024
-// rows pin Metrics and decisions. Readouts of every process are folded
-// into one FNV-1a digest; the counts beside it say what a mismatch is
-// about.
+// event per logical message, so an n=1024 trace holds ~4M records); the
+// n=1024 rows pin Metrics and decisions. A trace hash is taken over the
+// trace's fixed-width image (tests/trace_image.h): the bytes of the raw
+// trace files the literals were captured from. Readouts of every process
+// are folded into one FNV-1a digest; the counts beside it say what a
+// mismatch is about.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -32,6 +32,7 @@
 #include "harness/experiment.h"
 #include "rng/ledger.h"
 #include "sim/runner.h"
+#include "trace_image.h"
 
 namespace omx {
 namespace {
@@ -43,17 +44,6 @@ constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::uint64_t h = kFnvBasis;
-  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
-    h ^= static_cast<unsigned char>(*it);
     h *= 0x100000001b3ull;
   }
   return h;
@@ -133,7 +123,7 @@ TEST_P(FloodGoldenRun, MetricsDecisionAndTracePinned) {
   }
   const auto r = harness::run_experiment(cfg);
   const std::uint64_t hash =
-      g.trace_hash != 0 ? fnv1a_file(cfg.trace_path) : 0;
+      g.trace_hash != 0 ? fnv1a_fixed_width_image(cfg.trace_path) : 0;
   SCOPED_TRACE("got " + literal(r.metrics) + ", " +
                std::to_string(r.decision) + ", " +
                std::to_string(r.time_rounds) + ", " + hex(hash));
@@ -245,7 +235,7 @@ TEST_P(BenOrGoldenRun, FallbackTailPinned) {
                                         o.decision_round)
                                   : 0);
   }
-  const std::uint64_t hash = fnv1a_file(path);
+  const std::uint64_t hash = fnv1a_fixed_width_image(path);
   SCOPED_TRACE("got " + literal(metrics) + ", " + std::to_string(decided) +
                ", " + hex(digest) + ", " + hex(hash));
   expect_metrics(metrics, g.metrics);
@@ -371,7 +361,8 @@ TEST_P(GossipGoldenRun, MetricsAndReadoutsPinned) {
   const GossipOut out = gossip_run(g, lanes, path);
   std::uint32_t completed = 0;
   for (const bool c : out.completed) completed += c ? 1 : 0;
-  const std::uint64_t hash = path.empty() ? 0 : fnv1a_file(path);
+  const std::uint64_t hash =
+      path.empty() ? 0 : fnv1a_fixed_width_image(path);
   SCOPED_TRACE("got " + literal(out.metrics) + ", " +
                std::to_string(completed) + ", " + hex(out.digest) + ", " +
                hex(hash));

@@ -1,9 +1,9 @@
-// The packed trace storage format (trace/codec.h): pack/unpack losslessness
-// (byte-identity both directions), the TraceWriter packed path, the >5x
-// compression target on flood-heavy traffic, and the corruption surface of
+// The trace body encoding (trace/codec.h): the >5x compression target on
+// flood-heavy traffic, block independence, and the corruption surface of
 // the incremental decoder — truncated tails, flipped bytes, bad header
-// flags and bad block markers are all CorruptInputError with the offending
-// file and a byte offset, never a crash or a silently short read.
+// fields, version-1 files and bad block markers are all CorruptInputError
+// with the offending file and a byte offset, never a crash or a silently
+// short read.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -45,7 +45,7 @@ void spit(const fs::path& p, const std::string& bytes) {
 
 /// A real trace to compress: an experiment run with the trace attached.
 TraceData run_traced(const fs::path& path, harness::Algo algo,
-                     harness::Attack attack, std::uint32_t n, bool packed) {
+                     harness::Attack attack, std::uint32_t n) {
   harness::ExperimentConfig cfg;
   cfg.algo = algo;
   cfg.attack = attack;
@@ -53,58 +53,17 @@ TraceData run_traced(const fs::path& path, harness::Algo algo,
   cfg.t = n / 8;
   cfg.seed = 7;
   cfg.trace_path = path.string();
-  cfg.trace_packed = packed;
   (void)harness::run_experiment(cfg);
   return read_trace(path.string());
 }
 
 // ---------------------------------------------------------------------------
-// Losslessness.
-
-TEST(TraceCodec, PackUnpackIsTheIdentityBothWays) {
-  const fs::path dir = scratch("identity");
-  const TraceData raw = run_traced(dir / "raw.trace", harness::Algo::BenOr,
-                                   harness::Attack::RandomOmission, 24,
-                                   /*packed=*/false);
-  ASSERT_FALSE(raw.packed);
-  ASSERT_FALSE(raw.events.empty());
-
-  write_trace(raw, (dir / "packed.trace").string(), /*packed=*/true);
-  const TraceData packed = read_trace((dir / "packed.trace").string());
-  EXPECT_TRUE(packed.packed);
-  ASSERT_EQ(packed.events.size(), raw.events.size());
-  EXPECT_EQ(0, std::memcmp(packed.events.data(), raw.events.data(),
-                           raw.events.size() * sizeof(Event)));
-
-  // unpack(pack(t)) is byte-identical to t, and pack(unpack(p)) to p.
-  write_trace(packed, (dir / "raw2.trace").string(), /*packed=*/false);
-  EXPECT_EQ(slurp(dir / "raw.trace"), slurp(dir / "raw2.trace"));
-  write_trace(read_trace((dir / "raw2.trace").string()),
-              (dir / "packed2.trace").string(), /*packed=*/true);
-  EXPECT_EQ(slurp(dir / "packed.trace"), slurp(dir / "packed2.trace"));
-}
-
-TEST(TraceCodec, WriterPackedPathMatchesOfflinePack) {
-  // The engine writing packed directly (trace_packed) must produce the
-  // same file as packing the raw trace offline — same events, same block
-  // boundaries (both go through the TraceWriter ring).
-  const fs::path dir = scratch("writer");
-  const TraceData raw = run_traced(dir / "raw.trace", harness::Algo::FloodSet,
-                                   harness::Attack::RandomOmission, 32,
-                                   /*packed=*/false);
-  const TraceData live = run_traced(dir / "live.trace", harness::Algo::FloodSet,
-                                    harness::Attack::RandomOmission, 32,
-                                    /*packed=*/true);
-  ASSERT_TRUE(live.packed);
-  write_trace(raw, (dir / "offline.trace").string(), /*packed=*/true);
-  EXPECT_EQ(slurp(dir / "live.trace"), slurp(dir / "offline.trace"));
-}
+// Compression and block independence.
 
 TEST(TraceCodec, FloodTrafficCompressesPastFiveX) {
   const fs::path dir = scratch("ratio");
-  const TraceData packed = run_traced(
-      dir / "p.trace", harness::Algo::FloodSet,
-      harness::Attack::RandomOmission, 128, /*packed=*/true);
+  const TraceData packed = run_traced(dir / "p.trace", harness::Algo::FloodSet,
+                                      harness::Attack::RandomOmission, 128);
   ASSERT_GT(packed.file_bytes, 0u);
   const double ratio = static_cast<double>(packed.raw_bytes()) /
                        static_cast<double>(packed.file_bytes);
@@ -119,7 +78,7 @@ TEST(TraceCodec, MultiBlockStreamsDecodeBlockIndependently) {
   const fs::path path = dir / "two.trace";
   std::vector<Event> events;
   {
-    TraceWriter w(path.string(), 4, /*packed=*/true);
+    TraceWriter w(path.string(), 4);
     for (std::uint32_t i = 0; i < TraceWriter::kRingEvents + 100; ++i) {
       const Event e{i, kSend, 0, i % 4, (i + 1) % 4, std::uint64_t{i} * 3};
       events.push_back(e);
@@ -148,22 +107,25 @@ class PackedCorruption : public ::testing::Test {
                        ->name());
     path_ = dir_ / "p.trace";
     (void)run_traced(path_, harness::Algo::BenOr,
-                     harness::Attack::RandomOmission, 24, /*packed=*/true);
+                     harness::Attack::RandomOmission, 24);
     bytes_ = slurp(path_);
     ASSERT_GT(bytes_.size(), sizeof(FileHeader) + 16);
   }
 
-  /// Expect read_trace(path) to throw with the path and a plausible offset.
-  void expect_corrupt(const fs::path& p, std::uint64_t min_offset,
-                      std::uint64_t max_offset) {
+  /// Expect read_trace(path) to throw with the path and a plausible
+  /// offset; returns the error message.
+  std::string expect_corrupt(const fs::path& p, std::uint64_t min_offset,
+                             std::uint64_t max_offset) {
     try {
       (void)read_trace(p.string());
-      FAIL() << "read_trace accepted " << p;
     } catch (const CorruptInputError& e) {
       EXPECT_EQ(e.path(), p.string());
       EXPECT_GE(e.byte_offset(), min_offset);
       EXPECT_LE(e.byte_offset(), max_offset);
+      return e.what();
     }
+    ADD_FAILURE() << "read_trace accepted " << p;
+    return "";
   }
 
   fs::path dir_;
@@ -209,28 +171,30 @@ TEST_F(PackedCorruption, UnknownHeaderFlagBits) {
 }
 
 TEST_F(PackedCorruption, PackedFilesCarryVersionTwo) {
-  // The version bump is what makes pre-codec readers (which validate the
-  // version but never validated the then-reserved flag word) reject packed
-  // files instead of misparsing the blocks as raw 24-byte records.
+  // Version 2 is what makes readers that predate the codec (which validate
+  // the version but never validated the then-reserved flag word) reject
+  // packed files instead of misparsing the blocks as raw 24-byte records.
   FileHeader h;
   std::memcpy(&h, bytes_.data(), sizeof h);
-  EXPECT_EQ(h.version, kFormatVersionPacked);
-  EXPECT_EQ(h.flags, kHeaderFlagPacked);
+  EXPECT_EQ(h.version, 2u);
+  EXPECT_EQ(h.flags, 1u);
 }
 
-TEST_F(PackedCorruption, VersionAndPackedFlagMustAgree) {
-  // A packed header downgraded to version 1 (and the reverse: the packed
-  // flag cleared while version stays 2) is a stitched or flipped header —
-  // rejected rather than trusting either field to pick the body layout.
-  const std::uint32_t raw_version = kFormatVersion;
+TEST_F(PackedCorruption, VersionOneAndClearedFlagAreRefused) {
+  // A version-1 header (raw records, no longer read) is refused at the
+  // version field, with directions to re-trace; a version-2 header with
+  // its flag bit cleared is refused at the flag word.
+  const std::uint32_t v1 = 1;
   std::string downgraded = bytes_;
-  downgraded.replace(offsetof(FileHeader, version), sizeof raw_version,
-                     reinterpret_cast<const char*>(&raw_version),
-                     sizeof raw_version);
+  downgraded.replace(offsetof(FileHeader, version), sizeof v1,
+                     reinterpret_cast<const char*>(&v1), sizeof v1);
+  downgraded[offsetof(FileHeader, flags)] = 0;
   const fs::path bad_version = dir_ / "downgraded.trace";
   spit(bad_version, downgraded);
-  expect_corrupt(bad_version, offsetof(FileHeader, flags),
-                 offsetof(FileHeader, flags));
+  const std::string why =
+      expect_corrupt(bad_version, offsetof(FileHeader, version),
+                     offsetof(FileHeader, version));
+  EXPECT_NE(why.find("omxsim --repro"), std::string::npos) << why;
 
   std::string unflagged = bytes_;
   unflagged[offsetof(FileHeader, flags)] &= ~0x01;

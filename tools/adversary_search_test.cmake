@@ -5,10 +5,9 @@
 #   `omxadv replay`                              -> recorded score, exit 0
 #   checkpoint + resume (8 then 15 iters)        -> same state as straight 15
 #   discovered score                             -> >= the analytic baseline
-#   omxtrace unpack|pack round-trip              -> byte-identical both ways
 #   torn / mangled state file                    -> exit 5 with a byte offset
-# Invoked as: cmake -DOMXADV=... -DOMXTRACE=... -DWORK_DIR=... -P this_file
-foreach(var OMXADV OMXTRACE WORK_DIR)
+# Invoked as: cmake -DOMXADV=... -DWORK_DIR=... -P this_file
+foreach(var OMXADV WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "missing -D${var}=...")
   endif()
@@ -86,19 +85,6 @@ elseif(best_rounds EQUAL baseline_rounds)
             "baseline: delivered ${best_delivered} > ${baseline_delivered}")
   endif()
 endif()
-
-# Codec round-trip on a real trace: the search wrote baseline.trace packed;
-# unpack -> pack must reproduce it, and unpack(pack(raw)) the raw form.
-run_or_die(${OMXTRACE} unpack "${WORK_DIR}/a/baseline.trace"
-           "${WORK_DIR}/raw.trace")
-run_or_die(${OMXTRACE} pack "${WORK_DIR}/raw.trace"
-           "${WORK_DIR}/repacked.trace")
-run_or_die(${OMXTRACE} unpack "${WORK_DIR}/repacked.trace"
-           "${WORK_DIR}/raw2.trace")
-expect_same("${WORK_DIR}/a/baseline.trace" "${WORK_DIR}/repacked.trace"
-            "pack(unpack(packed)) is not the identity")
-expect_same("${WORK_DIR}/raw.trace" "${WORK_DIR}/raw2.trace"
-            "unpack(pack(raw)) is not the identity")
 
 # A torn or mangled state file is corrupt input (exit 5, byte offset).
 function(expect_corrupt)

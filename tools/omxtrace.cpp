@@ -4,12 +4,6 @@
 //   omxtrace dump run.trace                  # one JSON object per event
 //   omxtrace dump run.trace --chrome --out run.json   # chrome://tracing
 //   omxtrace diff a.trace b.trace            # first divergent event, if any
-//   omxtrace pack run.trace run.packed       # compress (delta+varint blocks)
-//   omxtrace unpack run.packed run.trace     # back to raw fixed-width
-//
-// Every subcommand reads both storage formats transparently (the header's
-// flag word says which); pack/unpack convert between them losslessly —
-// unpack(pack(t)) is byte-identical to t.
 //
 // Traces are produced by `omxsim --trace <path>`, by
 // harness::ExperimentConfig::trace_path, or automatically by the sweep
@@ -19,10 +13,10 @@
 // the first divergent event when they are not, making it the determinism
 // debugger for the parallel computation phase.
 //
-// A missing, foreign or truncated trace is a CorruptInputError — exit 5
-// via guarded_main, with a message naming the file and the byte offset of
-// the first bad record. An unknown subcommand prints the valid subcommand
-// list (exit 2).
+// A missing, foreign, old-format (version 1) or truncated trace is a
+// CorruptInputError — exit 5 via guarded_main, with a message naming the
+// file and the byte offset of the bad header field or block. An unknown
+// subcommand prints the valid subcommand list (exit 2).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -33,7 +27,6 @@
 #include "harness/sweep.h"
 #include "support/check.h"
 #include "trace/analysis.h"
-#include "trace/codec.h"
 #include "trace/reader.h"
 
 using namespace omx;
@@ -44,7 +37,8 @@ const char kUsage[] =
     "usage: omxtrace <subcommand> [args]\n"
     "\n"
     "subcommands:\n"
-    "  stats <file>                    per-round envelope table and totals\n"
+    "  stats <file>                    per-round envelope table, totals and\n"
+    "                                  the pack ratio\n"
     "  dump <file> [--chrome] [--out <path>]\n"
     "                                  JSONL event dump (default stdout);\n"
     "                                  --chrome emits a chrome://tracing /\n"
@@ -52,9 +46,6 @@ const char kUsage[] =
     "  diff <a> <b>                    compare two traces event-by-event;\n"
     "                                  exit 0 if identical, 1 with the first\n"
     "                                  divergent event otherwise\n"
-    "  pack <in> <out>                 rewrite as packed delta+varint blocks\n"
-    "                                  (lossless; prints the achieved ratio)\n"
-    "  unpack <in> <out>               rewrite as raw fixed-width records\n"
     "\n"
     "Traces come from `omxsim --trace <path>` or from the sweep runner's\n"
     "repro captures (repro/<hash>.trace). Traces of the same config are\n"
@@ -127,24 +118,6 @@ int cmd_diff(const std::vector<std::string>& args) {
   return 1;
 }
 
-int cmd_convert(const std::vector<std::string>& args, bool packed) {
-  const char* const name = packed ? "pack" : "unpack";
-  OMX_REQUIRE(args.size() == 2,
-              std::string(name) + " takes an input and an output path");
-  const trace::TraceData t = trace::read_trace(args[0]);
-  trace::write_trace(t, args[1], packed);
-  // Report the conversion's effect from the reader's view of the output —
-  // the same numbers `stats` would print.
-  const trace::TraceData out = trace::read_trace(args[1]);
-  std::printf("%s: %zu event(s), %llu -> %llu byte(s) (%.2fx)\n", name,
-              out.events.size(),
-              static_cast<unsigned long long>(t.file_bytes),
-              static_cast<unsigned long long>(out.file_bytes),
-              static_cast<double>(t.file_bytes) /
-                  static_cast<double>(out.file_bytes));
-  return 0;
-}
-
 int run_main(int argc, char** argv) {
   if (argc < 2) {
     std::fputs(kUsage, stderr);
@@ -159,11 +132,9 @@ int run_main(int argc, char** argv) {
   if (cmd == "stats") return cmd_stats(args);
   if (cmd == "dump") return cmd_dump(args);
   if (cmd == "diff") return cmd_diff(args);
-  if (cmd == "pack") return cmd_convert(args, /*packed=*/true);
-  if (cmd == "unpack") return cmd_convert(args, /*packed=*/false);
   std::fprintf(stderr,
                "error: unknown subcommand '%s'"
-               " (valid subcommands: stats, dump, diff, pack, unpack)\n",
+               " (valid subcommands: stats, dump, diff)\n",
                cmd.c_str());
   return 2;
 }
