@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "support/check.h"
+#include "support/parse_number.h"
 
 namespace omx {
 
@@ -88,6 +89,16 @@ std::int64_t ArgParser::get_int(const std::string& name) const {
   const long long parsed = std::strtoll(v.c_str(), &end, 10);
   OMX_REQUIRE(end != v.c_str() && *end == '\0',
               "--" + name + " expects an integer, got '" + v + "'");
+  return parsed;
+}
+
+std::uint64_t ArgParser::get_uint_upto(const std::string& name,
+                                       std::uint64_t max) const {
+  const std::string& v = get(name);
+  std::uint64_t parsed = 0;
+  OMX_REQUIRE(parse_number(v, &parsed) && parsed <= max,
+              "--" + name + " expects an integer from 0 to " +
+                  std::to_string(max) + ", got '" + v + "'");
   return parsed;
 }
 

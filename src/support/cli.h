@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,6 +29,12 @@ class ArgParser {
   bool flag(const std::string& name) const;
   const std::string& get(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// Unsigned option that must fit T: a sign, trailing bytes or a value
+  /// above T's maximum is a PreconditionError, like any bad value.
+  template <class T>
+  T get_uint(const std::string& name) const {
+    return static_cast<T>(get_uint_upto(name, std::numeric_limits<T>::max()));
+  }
   double get_double(const std::string& name) const;
 
   bool help_requested() const { return help_requested_; }
@@ -35,6 +42,9 @@ class ArgParser {
   std::string usage() const;
 
  private:
+  std::uint64_t get_uint_upto(const std::string& name,
+                              std::uint64_t max) const;
+
   struct Spec {
     std::string help;
     std::string default_value;

@@ -1,6 +1,7 @@
 // ArgParser: parsing forms, defaults, errors, usage text.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "support/check.h"
@@ -86,6 +87,31 @@ TEST(Cli, NegativeNumbers) {
   ASSERT_TRUE(parse(p, {"--n", "-1", "--ratio", "-0.5"}));
   EXPECT_EQ(p.get_int("n"), -1);
   EXPECT_DOUBLE_EQ(p.get_double("ratio"), -0.5);
+}
+
+TEST(Cli, UnsignedOptionsRefuseSignsAndOutOfRange) {
+  // A negative count cast to an unsigned field would wrap (2^64-1 trials,
+  // one lane per process): it is refused like any other bad value.
+  for (const char* bad :
+       {"-8", "-1", "+8", "12abc", "", " 8", "8 ", "0x10", "4294967296"}) {
+    auto p = make();
+    ASSERT_TRUE(parse(p, {"--n", bad}));
+    EXPECT_THROW(p.get_uint<std::uint32_t>("n"), PreconditionError)
+        << "'" << bad << "'";
+  }
+  auto p = make();
+  ASSERT_TRUE(parse(p, {}));
+  EXPECT_EQ(p.get_uint<std::uint32_t>("n"), 128u);
+  auto q = make();
+  ASSERT_TRUE(parse(q, {"--n", "4294967295"}));
+  EXPECT_EQ(q.get_uint<std::uint32_t>("n"), 4294967295u);
+  EXPECT_THROW(q.get_uint<std::uint16_t>("n"), PreconditionError);
+  auto r = make();
+  ASSERT_TRUE(parse(r, {"--n", "18446744073709551615"}));
+  EXPECT_EQ(r.get_uint<std::uint64_t>("n"), UINT64_MAX);
+  auto s = make();
+  ASSERT_TRUE(parse(s, {"--n", "18446744073709551616"}));
+  EXPECT_THROW(s.get_uint<std::uint64_t>("n"), PreconditionError);
 }
 
 TEST(Cli, UndeclaredQueriesThrow) {

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/params.h"
@@ -115,6 +116,41 @@ TEST(ConfigSerialization, ParseReportsByteOffsetOfFirstBadLine) {
   EXPECT_FALSE(parse_config("bogus\n", &cfg, &err));
 }
 
+// A number is read whole: trailing bytes, a sign on an unsigned field, an
+// empty value, a value out of the field's range or a non-finite double
+// fails at its line instead of being read as some other number.
+TEST(ConfigSerialization, MalformedNumbersFailAtTheirLine) {
+  for (const char* bad :
+       {"n=12abc", "n=-8", "n=+8", "n= 8", "n=4294967296", "seed=",
+        "max_rounds=zz", "threads=-1", "drop_prob=0.5x", "drop_prob=inf",
+        "drop_prob=nan", "params.epoch_factor=1e999",
+        "params.min_epochs=2.5"}) {
+    SCOPED_TRACE(bad);
+    ExperimentConfig cfg;
+    std::string err;
+    std::size_t off = 0;
+    EXPECT_FALSE(parse_config(std::string("algo=floodset\n") + bad + "\n",
+                              &cfg, &err, &off));
+    EXPECT_EQ(off, 14u);
+    EXPECT_NE(err.find("bad number"), std::string::npos) << err;
+  }
+}
+
+// Drivers append overrides (seed=, attack=, trace_path=) to config texts
+// that may already set them; the last line wins.
+TEST(ConfigSerialization, RepeatedKeyLastWins) {
+  ExperimentConfig cfg;
+  std::string err;
+  ASSERT_TRUE(parse_config(
+      "seed=1\nattack=none\ntrace_path=a\nseed=9\nattack=rand-omit\n"
+      "trace_path=b\n",
+      &cfg, &err))
+      << err;
+  EXPECT_EQ(cfg.seed, 9u);
+  EXPECT_EQ(cfg.attack, Attack::RandomOmission);
+  EXPECT_EQ(cfg.trace_path, "b");
+}
+
 TEST(ConfigHash, IgnoresWorkerLaneCountButNotSeeds) {
   ExperimentConfig a = tiny_config(7);
   ExperimentConfig b = a;
@@ -127,10 +163,10 @@ TEST(ConfigHash, IgnoresWorkerLaneCountButNotSeeds) {
   EXPECT_EQ(config_key(a).size(), 16u);
 }
 
-// Configs written while delivery or the flood representation was still a
-// choice carry streamed=, pipeline= and packed= lines. They must still
-// parse, and resolve to the key and serialization of the same text without
-// those lines.
+// Configs written while delivery, the flood representation or the trace
+// storage format was still a choice carry streamed=, pipeline=, packed=
+// and trace_packed= lines. They must still parse, and resolve to the key
+// and serialization of the same text without those lines.
 TEST(ConfigHash, RetiredDeliveryLinesParseAndDoNotChangeTheKey) {
   const std::string text =
       "algo=floodset\nattack=rand-omit\nn=32\nt=4\nseed=5\n";
@@ -138,7 +174,8 @@ TEST(ConfigHash, RetiredDeliveryLinesParseAndDoNotChangeTheKey) {
   std::string err;
   ASSERT_TRUE(parse_config(text, &plain, &err)) << err;
   for (const char* retired :
-       {"streamed=1\npipeline=1\n", "packed=0\n", "packed=1\n"}) {
+       {"streamed=1\npipeline=1\n", "packed=0\n", "packed=1\n",
+        "trace_packed=1\n"}) {
     SCOPED_TRACE(retired);
     ExperimentConfig old;
     ASSERT_TRUE(parse_config(text + retired, &old, &err)) << err;
@@ -438,6 +475,28 @@ TEST(SweepCheckpoint, CheckpointLineRoundTripsAndRejectsTornPrefixes) {
   for (std::size_t cut = 0; cut < line.size(); cut += 7) {
     EXPECT_FALSE(parse_checkpoint_line(line.substr(0, cut), &back_key, &back))
         << "prefix of length " << cut << " parsed";
+  }
+}
+
+TEST(SweepCheckpoint, MalformedNumberDropsTheLine) {
+  Sweep sweep{SweepOptions{}};
+  const std::string key = config_key(tiny_config(3));
+  const std::string line = checkpoint_line(key, sweep.run(tiny_config(3)));
+  std::string back_key;
+  TrialOutcome back;
+  ASSERT_TRUE(parse_checkpoint_line(line, &back_key, &back));
+  // Each mangled number would otherwise read as 1, 2^64-3, 1, 0 and 0.
+  for (const auto& [field, bad] : std::vector<std::pair<std::string, std::string>>{
+           {"attempts", "1x"},
+           {"seed", "-3"},
+           {"omitted", "1e3"},
+           {"decision", "256"},
+           {"corrupted", "4294967296"}}) {
+    const std::string needle = "\"" + field + "\":";
+    const std::size_t at = line.find(needle) + needle.size();
+    const std::string mangled =
+        line.substr(0, at) + bad + line.substr(line.find(',', at));
+    EXPECT_FALSE(parse_checkpoint_line(mangled, &back_key, &back)) << mangled;
   }
 }
 

@@ -74,9 +74,9 @@ harness::ExperimentConfig config_from_args(const ArgParser& args,
     *error = "bad algo/inputs value";
     return cfg;
   }
-  cfg.n = static_cast<std::uint32_t>(args.get_int("n"));
-  cfg.x = static_cast<std::uint32_t>(args.get_int("x"));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  cfg.n = args.get_uint<std::uint32_t>("n");
+  cfg.x = args.get_uint<std::uint32_t>("x");
+  cfg.seed = args.get_uint<std::uint64_t>("seed");
   cfg.drop_prob = args.get_double("drop-prob");
   const auto t = args.get_int("t");
   cfg.t = t >= 0 ? static_cast<std::uint32_t>(t)
@@ -158,14 +158,13 @@ int cmd_search(int argc, const char* const* argv) {
   }
 
   advsearch::SearchOptions opts;
-  opts.iterations = static_cast<std::uint32_t>(args.get_int("iters"));
-  opts.seed = static_cast<std::uint64_t>(args.get_int("search-seed"));
+  opts.iterations = args.get_uint<std::uint32_t>("iters");
+  opts.seed = args.get_uint<std::uint64_t>("search-seed");
   opts.t0 = args.get_double("t0");
   opts.alpha = args.get_double("alpha");
   opts.state_path = args.get("state");
   opts.work_dir = args.get("work-dir");
-  opts.checkpoint_every =
-      static_cast<std::uint32_t>(args.get_int("checkpoint-every"));
+  opts.checkpoint_every = args.get_uint<std::uint32_t>("checkpoint-every");
 
   advsearch::Search search(std::move(base), opts);
   const bool resumed = !opts.state_path.empty() && search.load_state();

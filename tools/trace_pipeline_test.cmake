@@ -3,6 +3,9 @@
 #   omxtrace diff  ->  "identical", exit 0
 #   omxtrace stats / dump / dump --chrome  ->  accept the file
 #   omxtrace diff on traces of different seeds  ->  nonzero exit
+#   omxsim --trace into a missing directory  ->  exit 2 before any trial:
+#                                               nothing checkpointed or
+#                                               captured
 # Invoked as: cmake -DOMXSIM=... -DOMXTRACE=... -DWORK_DIR=... -P this_file
 foreach(var OMXSIM OMXTRACE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -57,5 +60,25 @@ execute_process(COMMAND ${OMXTRACE} diff "${WORK_DIR}/t1.trace"
                 ERROR_VARIABLE diff_err)
 if(diff_rc EQUAL 0)
   message(FATAL_ERROR "diff failed to flag traces of different seeds")
+endif()
+
+# A trace path that cannot be created is a bad argument, not a trial
+# verdict: a recorded failure would be replayed from the checkpoint even
+# after the path is fixed.
+execute_process(COMMAND ${OMXSIM} --algo floodset --n 8 --csv
+                        --checkpoint "${WORK_DIR}/ck.jsonl"
+                        --repro-dir "${WORK_DIR}/repro"
+                        --trace "${WORK_DIR}/missing/dir/t.trace"
+                RESULT_VARIABLE sink_rc
+                OUTPUT_VARIABLE sink_out
+                ERROR_VARIABLE sink_err)
+set(ck_size 0)
+if(EXISTS "${WORK_DIR}/ck.jsonl")
+  file(SIZE "${WORK_DIR}/ck.jsonl" ck_size)
+endif()
+if(NOT sink_rc EQUAL 2 OR EXISTS "${WORK_DIR}/repro" OR ck_size GREATER 0)
+  message(FATAL_ERROR "unwritable --trace path must exit 2 before any "
+          "trial runs (exit ${sink_rc}, checkpoint ${ck_size} byte(s)):\n"
+          "${sink_out}\n${sink_err}")
 endif()
 message(STATUS "trace pipeline OK")
