@@ -23,7 +23,8 @@
 //     seeds, the attempt count recorded in the outcome;
 //   * repro capture — a trial that violates a model invariant
 //     (OMX_CHECK / AdversaryViolation / budget overdraft) serializes its
-//     full ExperimentConfig to `<repro_dir>/<hash>.repro`; `omxsim --repro
+//     ExperimentConfig, minus the sweep's own trace_path, to
+//     `<repro_dir>/<hash>.repro`; `omxsim --repro
 //     <file>` replays exactly that trial, outside the isolation shell, so
 //     the original exception surfaces with its class-specific exit code.
 //
@@ -101,8 +102,7 @@ struct SweepOptions {
   bool capture_repro = true;
   /// Alongside each .repro, re-run the failing trial deterministically with
   /// tracing on and capture `<repro_dir>/<hash>.trace` (the hot path never
-  /// pays for tracing — only failures do). No-op when capture_repro is off
-  /// or tracing is compiled out.
+  /// pays for tracing — only failures do). No-op when capture_repro is off.
   bool capture_trace = true;
 
   /// Environment-driven defaults, so existing bench binaries gain
